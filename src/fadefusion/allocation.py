@@ -480,59 +480,85 @@ def _rank_batch(gamma: np.ndarray, s: np.ndarray):
 
 def _prefix_cut(positive: np.ndarray, label: str) -> np.ndarray:
     """Per-row length of the leading True run; verifies prefix structure."""
-    n, k = positive.shape
-    k1 = np.where(positive.all(axis=1), k, positive.argmin(axis=1))
-    if (positive != (np.arange(k) < k1[:, None])).any():
+    k1 = positive.sum(axis=1)
+    if (positive != (np.arange(positive.shape[1]) < k1[:, None])).any():
         raise InternalConsistencyError(
             f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
         )
     return k1
 
 
-def _waterfill_cut_batch(gamma_r, eta_r, usable, total_power):
-    """Ranked prefix sums, cutoff index and threshold constant per row.
+def _waterfill_prefix(eta_r, gamma_r, usable):
+    """Budget-independent sums over each ranked row's usable sensors.
 
-    Rows with no usable sensor get k1 = 0 and c0 = nan.
+    Returns sqrt(eta) and the prefix sums a = cumsum(gamma/sqrt(eta)),
+    w = cumsum(gamma/eta) and prefix_gamma = cumsum(gamma).
     """
     sqrt_eta = np.sqrt(eta_r)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.cumsum(np.where(usable, gamma_r / sqrt_eta, 0.0), axis=1)
-        b = np.cumsum(np.where(usable, gamma_r / eta_r, 0.0), axis=1) + total_power
-        f_positive = np.where(a > 0, sqrt_eta * b / a - 1.0, -1.0) > 0
+        w = np.cumsum(np.where(usable, gamma_r / eta_r, 0.0), axis=1)
+    return sqrt_eta, a, w, np.cumsum(np.where(usable, gamma_r, 0.0), axis=1)
+
+
+def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
+    """Optimal distortion, cutoff index and threshold constant per row at one budget.
+
+    Rows with no usable sensor get mse = +inf, k1 = 0 and c0 = nan.
+    """
+    ratio = w + total_power  # becomes sqrt(eta) * b / a in place, b = w + P
+    ratio *= sqrt_eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= a
+    f_positive = (a > 0) & (ratio > 1.0)
     k1 = _prefix_cut(f_positive, "sum-power")
-    rows = np.arange(gamma_r.shape[0])
-    idx = np.maximum(k1 - 1, 0)
-    c0 = np.where(k1 > 0, b[rows, idx] / np.where(a[rows, idx] > 0, a[rows, idx], 1.0), np.nan)
-    return a, k1, c0
+    at_cut = np.arange(a.shape[0]) * a.shape[1] + np.maximum(k1 - 1, 0)  # flat (row, k1-1)
+    a_cut = a.take(at_cut)
+    c0 = np.where(k1 > 0, (w.take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0), np.nan)
+    total = np.where(k1 > 0, prefix_gamma.take(at_cut) - a_cut / c0, 0.0)
+    return _mse_from_total(total, sigma_theta_sq), k1, c0
+
+
+def _mse_from_total(total: np.ndarray, sigma_theta_sq: float) -> np.ndarray:
+    return np.where(total > 0, sigma_theta_sq / np.where(total > 0, total, 1.0), np.inf)
 
 
 def sum_power_mse_batch(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float
+    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal-allocation distortion for a (trials, K) batch of snapshots.
 
-    Returns (mse, active_count); rows with no usable sensor get mse = +inf
-    and active_count = 0, matching the outage convention.
+    ``total_power`` is one budget or a 1-D array of budgets; the ranking and
+    the budget-independent prefix sums are computed once for all of them.
+    Returns (mse, active_count), each of shape (trials,) for one budget and
+    (budgets, trials) for an array; rows with no usable sensor get
+    mse = +inf and active_count = 0, matching the outage convention.
     """
-    eta_r, gamma_r, usable, _ = _rank_batch(gamma, s)
-    a, k1, c0 = _waterfill_cut_batch(gamma_r, eta_r, usable, total_power)
-    rows = np.arange(gamma.shape[0])
-    idx = np.maximum(k1 - 1, 0)
-    prefix_gamma = np.cumsum(np.where(usable, gamma_r, 0.0), axis=1)
-    total = np.where(k1 > 0, prefix_gamma[rows, idx] - a[rows, idx] / c0, 0.0)
-    mse = np.where(total > 0, sigma_theta_sq / np.where(total > 0, total, 1.0), np.inf)
-    return mse, k1
+    prefix = _waterfill_prefix(*_rank_batch(gamma, s)[:3])  # ranked arrays freed here
+    budgets = np.atleast_1d(total_power)
+    mse = np.empty((budgets.size, gamma.shape[0]))
+    active = np.empty(mse.shape, dtype=np.intp)
+    for j, budget in enumerate(budgets):
+        mse[j], active[j], _ = _waterfill_mse(*prefix, budget, sigma_theta_sq)
+    return (mse[0], active[0]) if np.ndim(total_power) == 0 else (mse, active)
 
 
 def equal_power_mse_batch(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float
+    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power
 ) -> np.ndarray:
-    """Equal-split distortion for a (trials, K) batch; +inf where undefined."""
+    """Equal-split distortion for a (trials, K) batch; +inf where undefined.
+
+    ``total_power`` is one budget or a 1-D array, as in sum_power_mse_batch.
+    """
     k = gamma.shape[1]
     inv_gamma = 1.0 / gamma
-    ps = total_power * s
-    total = np.sum(ps / (inv_gamma * ps + k * (1.0 + inv_gamma)), axis=1)
-    return np.where(total > 0, sigma_theta_sq / np.where(total > 0, total, 1.0), np.inf)
+    denom = k * (1.0 + inv_gamma)
+    budgets = np.atleast_1d(total_power)
+    mse = np.empty((budgets.size, gamma.shape[0]))
+    for j, budget in enumerate(budgets):
+        ps = budget * s
+        mse[j] = _mse_from_total(np.sum(ps / (inv_gamma * ps + denom), axis=1), sigma_theta_sq)
+    return mse[0] if np.ndim(total_power) == 0 else mse
 
 
 def min_power_total_batch(
@@ -545,26 +571,21 @@ def min_power_total_batch(
     """
     required = sigma_theta_sq / distortion_target
     eta_r, gamma_r, usable, _ = _rank_batch(gamma, s)
-    gamma_masked = np.where(usable, gamma_r, 0.0)
-    feasible = gamma_masked.sum(axis=1) > required
-
-    sqrt_eta = np.sqrt(eta_r)
+    feasible = np.where(usable, gamma_r, 0.0).sum(axis=1) > required
+    sqrt_eta, c, w, prefix_gamma = _waterfill_prefix(eta_r, gamma_r, usable)
+    d = prefix_gamma - required
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.cumsum(np.where(usable, gamma_r / sqrt_eta, 0.0), axis=1)
-        d = np.cumsum(gamma_masked, axis=1) - required
         g_positive = np.where(usable & (c > 0), 1.0 - d / (sqrt_eta * c), -1.0) > 0
     g_positive &= feasible[:, None]
 
     k1 = _prefix_cut(g_positive, "min-power")
-    n = gamma.shape[0]
-    rows = np.arange(n)
+    rows = np.arange(gamma.shape[0])
     idx = np.maximum(k1 - 1, 0)
     denom = d[rows, idx]
     if (feasible & ((k1 == 0) | (denom <= 0))).any():
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     rho0 = np.where(feasible, c[rows, idx] / np.where(denom > 0, denom, 1.0), np.nan)
     # Sum of P_k = rho0 * gamma/sqrt(eta) - gamma/eta over the active prefix.
-    w = np.cumsum(gamma_masked / np.where(usable, eta_r, 1.0), axis=1)
     total = np.where(feasible, rho0 * c[rows, idx] - w[rows, idx], np.inf)
     return total, np.where(feasible, k1, 0), feasible
 
@@ -613,23 +634,18 @@ def capped_mse_batch(
     clipping loop.
     """
     eta_r, gamma_r, usable, order = _rank_batch(gamma, s)
-    a, k1, c0 = _waterfill_cut_batch(gamma_r, eta_r, usable, total_power)
-    rows = np.arange(gamma.shape[0])
-    idx = np.maximum(k1 - 1, 0)
+    sqrt_eta, *sums = _waterfill_prefix(eta_r, gamma_r, usable)
+    mse, k1, c0 = _waterfill_mse(sqrt_eta, *sums, total_power, sigma_theta_sq)
 
     # Uncapped budgets in ranked coordinates, for violation detection only.
     s_r = np.take_along_axis(s, order, axis=1)
     in_prefix = np.arange(gamma.shape[1]) < k1[:, None]
     with np.errstate(invalid="ignore"):
         alpha_r = np.where(
-            in_prefix, gamma_r / np.where(s_r > 0, s_r, 1.0) * (c0[:, None] * np.sqrt(eta_r) - 1.0), 0.0
+            in_prefix, gamma_r / np.where(s_r > 0, s_r, 1.0) * (c0[:, None] * sqrt_eta - 1.0), 0.0
         )
     limits_r = cap_power / (1.0 + 1.0 / gamma_r)
     violating = (alpha_r >= limits_r).any(axis=1)
-
-    prefix_gamma = np.cumsum(np.where(usable, gamma_r, 0.0), axis=1)
-    total = np.where(k1 > 0, prefix_gamma[rows, idx] - a[rows, idx] / c0, 0.0)
-    mse = np.where(total > 0, sigma_theta_sq / np.where(total > 0, total, 1.0), np.inf)
     for row in np.flatnonzero(violating):
         mse[row] = capped_mse_row(gamma[row], s[row], sigma_theta_sq, total_power, cap_power)
     return mse

@@ -9,7 +9,10 @@ bound/sandwich checks used to validate those claims empirically.
 
 Trials are keyed by (seed, trial index) and processed in fixed-size chunks,
 so every estimate is bit-identical for a given seed regardless of how many
-worker processes execute the chunks.
+worker processes execute the chunks.  ``estimate_sweep`` runs whole sweeps:
+each chunk is sampled, and ranked for the optimal policy, once per K for all
+points and policies, and one process pool serves the whole run.  The four
+estimators are one-point calls into it.
 """
 
 from __future__ import annotations
@@ -77,70 +80,8 @@ class CappedPolicy:
 Policy = Union[EqualPolicy, OptimalPolicy, CappedPolicy]
 
 
-def _policy_mse(
-    model: NetworkModel, k: int, policy: Policy, p_tot: float, seed: int, start: int, n: int
-) -> np.ndarray:
-    """Per-trial fused distortion for one chunk; +inf marks zero-power trials."""
-    s, gamma = sample_batch(model, k, seed, start, n)
-    sigma_sq = model.prior.variance_theta
-    if isinstance(policy, EqualPolicy):
-        return equal_power_mse_batch(gamma, s, sigma_sq, p_tot)
-    if isinstance(policy, OptimalPolicy):
-        return sum_power_mse_batch(gamma, s, sigma_sq, p_tot)[0]
-    if isinstance(policy, CappedPolicy):
-        return capped_mse_batch(gamma, s, sigma_sq, p_tot, policy.cap_scale * p_tot / k)
-    raise TypeError(f"unknown policy {policy!r}")
-
-
 # ---------------------------------------------------------------------------
-# Chunked (optionally multiprocess) trial execution
-# ---------------------------------------------------------------------------
-
-
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(start, min(CHUNK_TRIALS, trials - start)) for start in range(0, trials, CHUNK_TRIALS)]
-
-
-def _map_chunks(worker, payload: tuple, trials: int, workers: int) -> list:
-    tasks = [(payload, start, n) for start, n in _chunk_ranges(trials)]
-    if workers <= 1 or len(tasks) == 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _outage_worker(task) -> int:
-    (model, k, policy, d0, p_tot, seed), start, n = task
-    mse = _policy_mse(model, k, policy, p_tot, seed, start, n)
-    return int(np.count_nonzero(mse > d0))
-
-
-def _distortion_worker(task) -> tuple[float, int, int]:
-    (model, k, policy, p_tot, seed), start, n = task
-    mse = _policy_mse(model, k, policy, p_tot, seed, start, n)
-    finite = np.isfinite(mse)
-    return float(mse[finite].sum()), int(finite.sum()), int(n - finite.sum())
-
-
-def _active_worker(task) -> int:
-    (model, k, p_tot, seed), start, n = task
-    s, gamma = sample_batch(model, k, seed, start, n)
-    _, k1 = sum_power_mse_batch(gamma, s, model.prior.variance_theta, p_tot)
-    return int(k1.sum())
-
-
-def _min_power_worker(task) -> tuple[float, float, int, int]:
-    (model, k, d0, seed), start, n = task
-    s, gamma = sample_batch(model, k, seed, start, n)
-    sigma_sq = model.prior.variance_theta
-    optimal, _, feasible = min_power_total_batch(gamma, s, sigma_sq, d0)
-    equal = _equal_budget_batch(gamma[feasible], s[feasible], sigma_sq, d0)
-    n_feasible = int(feasible.sum())
-    return float(optimal[feasible].sum()), float(equal.sum()), n_feasible, int(n - n_feasible)
-
-
-# ---------------------------------------------------------------------------
-# Estimators
+# Estimates
 # ---------------------------------------------------------------------------
 
 
@@ -184,22 +125,159 @@ class MinPowerSummary:
     trials: int
 
 
-def _validate_run(trials: int, d0: Optional[float] = None) -> None:
+# ---------------------------------------------------------------------------
+# Sweep driver: chunked (optionally multiprocess) trial execution
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Curve:
+    """One estimator at one K over all points of a sweep.
+
+    ``kind`` is "outage", "distortion", "active" or "min-power"; ``points``
+    are budgets p_tot, or distortion targets for "min-power"; ``policy`` and
+    the outage threshold ``d0`` apply where the estimator takes them.
+    """
+
+    kind: str
+    k: int
+    points: tuple[float, ...]
+    policy: Optional[Policy] = None
+    d0: Optional[float] = None
+
+
+def _validate_sweep(curves: Sequence[Curve], trials: int, workers: int) -> None:
+    """Reject bad estimator inputs before any trial runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if d0 is not None and not d0 > 0:
-        raise ValueError("the distortion threshold must be > 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    for curve in curves:
+        if curve.kind not in ("outage", "distortion", "active", "min-power"):
+            raise ValueError(f"unknown curve kind {curve.kind!r}")
+        if curve.k < 1:
+            raise ValueError("k must be >= 1")
+        if not all(0 < x < math.inf for x in curve.points):
+            raise ValueError("sweep points (p_tot, or d0 targets) must be positive and finite")
+        if curve.kind == "outage" and not 0 < curve.d0 < math.inf:
+            raise ValueError("the distortion threshold must be positive and finite")
 
 
-def _deterministic_floor(model: NetworkModel, k: int) -> Optional[float]:
-    """Distortion floor when it does not depend on the random draws."""
-    if model.observation.kind != "fixed":
-        return None
+def _certain_outage(model: NetworkModel, curve: Curve) -> bool:
+    """An outage curve whose threshold is at or below a deterministic distortion floor."""
+    if curve.kind != "outage" or model.observation.kind != "fixed":
+        return False
     sigma_sq = np.asarray(model.observation.sigma_sq, dtype=float)
     gamma = model.prior.variance_theta / (
-        np.full(k, float(sigma_sq)) if sigma_sq.ndim == 0 else sigma_sq
+        np.full(curve.k, float(sigma_sq)) if sigma_sq.ndim == 0 else sigma_sq
     )
-    return model.prior.variance_theta / float(gamma.sum())
+    floor = model.prior.variance_theta / float(gamma.sum())
+    if curve.d0 > floor:
+        return False
+    warnings.warn(
+        f"threshold {curve.d0:.6g} is at or below the distortion floor {floor:.6g}; "
+        "outage is 1 for every realization",
+        stacklevel=3,
+    )
+    return True
+
+
+def _policy_mse(policy: Policy, k: int, s: np.ndarray, gamma: np.ndarray, sigma_sq: float,
+                budgets: tuple[float, ...]) -> np.ndarray:
+    """Fused distortion per (budget, trial) of one chunk; +inf marks zero-power trials."""
+    if isinstance(policy, EqualPolicy):
+        return equal_power_mse_batch(gamma, s, sigma_sq, budgets)
+    if isinstance(policy, OptimalPolicy):
+        return sum_power_mse_batch(gamma, s, sigma_sq, budgets)[0]
+    if isinstance(policy, CappedPolicy):
+        return np.array([capped_mse_batch(gamma, s, sigma_sq, p, policy.cap_scale * p / k)
+                         for p in budgets])
+    raise TypeError(f"unknown policy {policy!r}")
+
+
+def _curve_sums(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float) -> list:
+    """Per-point partial sums of one curve over one chunk of trials."""
+    n = s.shape[0]
+    if curve.kind == "active":
+        return [(int(k1.sum()),) for k1 in sum_power_mse_batch(gamma, s, sigma_sq, curve.points)[1]]
+    if curve.kind == "min-power":
+        sums = []
+        for d0 in curve.points:
+            optimal, _, feasible = min_power_total_batch(gamma, s, sigma_sq, d0)
+            equal = _equal_budget_batch(gamma[feasible], s[feasible], sigma_sq, d0)
+            n_feasible = int(feasible.sum())
+            sums.append((float(optimal[feasible].sum()), float(equal.sum()), n_feasible,
+                         n - n_feasible))
+        return sums
+    mse = _policy_mse(curve.policy, curve.k, s, gamma, sigma_sq, curve.points)
+    if curve.kind == "outage":
+        return [(int(np.count_nonzero(row > curve.d0)),) for row in mse]
+    finite = np.isfinite(mse)
+    return [(float(row[ok].sum()), int(ok.sum()), int(n - ok.sum()))
+            for row, ok in zip(mse, finite)]
+
+
+def _sweep_chunk(task) -> list:
+    """Sample one chunk of trials once and evaluate every curve of its K on it."""
+    model, curves, seed, start, n = task
+    s, gamma = sample_batch(model, curves[0].k, seed, start, n)
+    return [_curve_sums(curve, s, gamma, model.prior.variance_theta) for curve in curves]
+
+
+def _summarize(curve: Curve, trials: int, sums: list):
+    if curve.kind == "outage":
+        return OutageEstimate(count=sums[0], trials=trials)
+    if curve.kind == "active":
+        return sums[0] / (trials * curve.k)
+    if curve.kind == "distortion":
+        total, finite, excluded = sums
+        return AverageDistortion(total / finite if finite else math.nan, excluded, trials)
+    sum_opt, sum_eq, feasible, infeasible = sums
+    if feasible == 0:
+        return MinPowerSummary(math.nan, math.nan, infeasible, trials)
+    return MinPowerSummary(sum_opt / feasible, sum_eq / feasible, infeasible, trials)
+
+
+def estimate_sweep(
+    model: NetworkModel, curves: Sequence[Curve], trials: int, seed: int, *, workers: int = 1
+) -> list[list]:
+    """Every point of every curve from one pass over the trial chunks.
+
+    Each (K, chunk) task samples its trials once and evaluates all curves of
+    that K at all their points.  Per-point partial sums are reduced in chunk
+    order, so each result equals a one-point call's at any ``workers``.  More
+    than one task and worker start one pool of min(workers, tasks) processes.
+    Returns per curve one result per point (OutageEstimate, AverageDistortion,
+    active fraction or MinPowerSummary, by kind).
+    """
+    _validate_sweep(curves, trials, workers)
+    groups: dict[int, list[int]] = {}
+    for i, curve in enumerate(curves):
+        if not _certain_outage(model, curve):
+            groups.setdefault(curve.k, []).append(i)
+    chunks = [(start, min(CHUNK_TRIALS, trials - start))
+              for start in range(0, trials, CHUNK_TRIALS)]
+    tasks = [(model, [curves[i] for i in members], seed, start, n)
+             for members in groups.values() for start, n in chunks]
+    if workers == 1 or len(tasks) <= 1:
+        parts = [_sweep_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            parts = list(pool.map(_sweep_chunk, tasks))
+    results = [[OutageEstimate(trials, trials)] * len(curve.points) for curve in curves]
+    for g, members in enumerate(groups.values()):
+        per_chunk = parts[g * len(chunks):(g + 1) * len(chunks)]
+        for j, i in enumerate(members):
+            results[i] = [
+                _summarize(curves[i], trials, [sum(column) for column in zip(*point)])
+                for point in zip(*(chunk[j] for chunk in per_chunk))
+            ]
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Estimators: one-point calls into the sweep driver
+# ---------------------------------------------------------------------------
 
 
 def outage_probability(
@@ -219,17 +297,8 @@ def outage_probability(
     deterministic distortion floor cannot be met by any allocation; that
     case returns certain outage immediately with a warning.
     """
-    _validate_run(trials, d0)
-    floor = _deterministic_floor(model, k)
-    if floor is not None and d0 <= floor:
-        warnings.warn(
-            f"threshold {d0:.6g} is at or below the distortion floor {floor:.6g}; "
-            "outage is 1 for every realization",
-            stacklevel=2,
-        )
-        return OutageEstimate(count=trials, trials=trials)
-    counts = _map_chunks(_outage_worker, (model, k, policy, d0, p_tot, seed), trials, workers)
-    return OutageEstimate(count=sum(counts), trials=trials)
+    curve = Curve("outage", k, (p_tot,), policy, d0)
+    return estimate_sweep(model, [curve], trials, seed, workers=workers)[0][0]
 
 
 def average_distortion(
@@ -243,37 +312,24 @@ def average_distortion(
     workers: int = 1,
 ) -> AverageDistortion:
     """Sample-mean fused distortion over random snapshots."""
-    _validate_run(trials)
-    parts = _map_chunks(_distortion_worker, (model, k, policy, p_tot, seed), trials, workers)
-    total = sum(part[0] for part in parts)
-    finite = sum(part[1] for part in parts)
-    excluded = sum(part[2] for part in parts)
-    mean = total / finite if finite else math.nan
-    return AverageDistortion(mean=mean, excluded=excluded, trials=trials)
+    curve = Curve("distortion", k, (p_tot,), policy)
+    return estimate_sweep(model, [curve], trials, seed, workers=workers)[0][0]
 
 
 def active_fraction(
     model: NetworkModel, k: int, p_tot: float, trials: int, seed: int, *, workers: int = 1
 ) -> float:
     """Mean fraction of sensors kept on by the optimal allocation."""
-    _validate_run(trials)
-    totals = _map_chunks(_active_worker, (model, k, p_tot, seed), trials, workers)
-    return sum(totals) / (trials * k)
+    curve = Curve("active", k, (p_tot,))
+    return estimate_sweep(model, [curve], trials, seed, workers=workers)[0][0]
 
 
 def average_min_power(
     model: NetworkModel, k: int, d0: float, trials: int, seed: int, *, workers: int = 1
 ) -> MinPowerSummary:
     """Mean total power needed to hit the distortion target, optimal vs equal split."""
-    _validate_run(trials, d0)
-    parts = _map_chunks(_min_power_worker, (model, k, d0, seed), trials, workers)
-    sum_opt = sum(part[0] for part in parts)
-    sum_eq = sum(part[1] for part in parts)
-    feasible = sum(part[2] for part in parts)
-    infeasible = sum(part[3] for part in parts)
-    if feasible == 0:
-        return MinPowerSummary(math.nan, math.nan, infeasible, trials)
-    return MinPowerSummary(sum_opt / feasible, sum_eq / feasible, infeasible, trials)
+    curve = Curve("min-power", k, (d0,))
+    return estimate_sweep(model, [curve], trials, seed, workers=workers)[0][0]
 
 
 def _equal_budget_batch(
@@ -560,12 +616,14 @@ __all__ = [
     "OptimalPolicy",
     "CappedPolicy",
     "Policy",
+    "Curve",
     "OutageEstimate",
     "AverageDistortion",
     "MinPowerSummary",
     "RateFunctionQuery",
     "SandwichCheck",
     "SlopeFit",
+    "estimate_sweep",
     "outage_probability",
     "average_distortion",
     "active_fraction",

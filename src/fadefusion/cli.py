@@ -29,8 +29,9 @@ from .allocation import (
     max_performance_with_caps,
     min_power_allocation,
 )
-from .analysis import (
+from .analysis import (  # the four estimators stay importable from here
     CappedPolicy,
+    Curve,
     EqualPolicy,
     OptimalPolicy,
     active_fraction,
@@ -38,6 +39,7 @@ from .analysis import (
     average_min_power,
     chernoff_bound,
     d_infinity,
+    estimate_sweep,
     outage_probability,
     rate_function_exponential,
     rate_function_numeric,
@@ -70,116 +72,54 @@ def _fmt(value) -> str:
 
 
 def _policy_object(name: str, cap_scale: float):
-    return {
-        "equal": EqualPolicy(),
-        "optimal": OptimalPolicy(),
-        "capped": CappedPolicy(cap_scale),
-    }[name]
+    if name == "capped":
+        return CappedPolicy(cap_scale)
+    return {"equal": EqualPolicy(), "optimal": OptimalPolicy()}[name]
 
 
-def _run_outage(cfg: ExperimentConfig):
-    policy = _policy_object(cfg.policy, cfg.cap_scale)
-    columns = ["p_tot_w", "p_tot_dbm"]
-    for k in cfg.k_values:
-        columns += [f"outage_k{k}", f"half_width_k{k}"]
-    rows = []
-    for p_tot in cfg.sweep.values():
-        row = [p_tot, watts_to_dbm(p_tot)]
-        for k in cfg.k_values:
-            est = outage_probability(
-                cfg.model, k, policy, cfg.d0, p_tot, cfg.trials, cfg.seed, workers=cfg.workers
-            )
-            row += [est.probability, est.half_width_95]
-        rows.append(row)
-    return columns, rows
-
-
-def _run_distortion(cfg: ExperimentConfig):
-    policy = _policy_object(cfg.policy, cfg.cap_scale)
-    columns = ["p_tot_w", "p_tot_dbm"]
-    for k in cfg.k_values:
-        columns += [f"avg_mse_k{k}", f"excluded_k{k}"]
-    rows = []
-    for p_tot in cfg.sweep.values():
-        row = [p_tot, watts_to_dbm(p_tot)]
-        for k in cfg.k_values:
-            avg = average_distortion(
-                cfg.model, k, policy, p_tot, cfg.trials, cfg.seed, workers=cfg.workers
-            )
-            row += [avg.mean, avg.excluded]
-        rows.append(row)
-    return columns, rows
-
-
-def _run_outage_compare(cfg: ExperimentConfig):
-    columns = ["p_tot_w", "p_tot_dbm"]
-    for name in cfg.policies:
-        columns += [f"outage_{name}", f"half_width_{name}"]
-    rows = []
-    for p_tot in cfg.sweep.values():
-        row = [p_tot, watts_to_dbm(p_tot)]
-        for name in cfg.policies:
-            est = outage_probability(
-                cfg.model,
-                cfg.k,
-                _policy_object(name, cfg.cap_scale),
-                cfg.d0,
-                p_tot,
-                cfg.trials,
-                cfg.seed,
-                workers=cfg.workers,
-            )
-            row += [est.probability, est.half_width_95]
-        rows.append(row)
-    return columns, rows
-
-
-def _run_active_fraction(cfg: ExperimentConfig):
-    columns = ["p_tot_w", "p_tot_dbm", "active_fraction"]
-    rows = []
-    for p_tot in cfg.sweep.values():
-        fraction = active_fraction(
-            cfg.model, cfg.k, p_tot, cfg.trials, cfg.seed, workers=cfg.workers
-        )
-        rows.append([p_tot, watts_to_dbm(p_tot), fraction])
-    return columns, rows
-
-
-def _run_min_power(cfg: ExperimentConfig):
-    columns = [
-        "d0",
-        "mean_power_optimal_w",
-        "mean_power_equal_w",
-        "equal_over_optimal_ratio",
-        "infeasible_trials",
-    ]
-    rows = []
-    any_feasible = False
-    for d0 in cfg.sweep.values():
-        summary = average_min_power(
-            cfg.model, cfg.k, d0, cfg.trials, cfg.seed, workers=cfg.workers
-        )
-        feasible = summary.infeasible < summary.trials
-        any_feasible = any_feasible or feasible
-        ratio = summary.mean_equal_w / summary.mean_optimal_w if feasible else math.nan
-        rows.append(
-            [d0, summary.mean_optimal_w, summary.mean_equal_w, ratio, summary.infeasible]
-        )
-    if not any_feasible:
-        raise _SweepInfeasible(
-            "every trial at every sweep point was infeasible; "
-            "raise d0 above the distortion floor"
-        )
-    return columns, rows
-
-
-_SCENARIOS = {
-    "outage": _run_outage,
-    "distortion": _run_distortion,
-    "outage-compare": _run_outage_compare,
-    "active-fraction": _run_active_fraction,
-    "min-power": _run_min_power,
+#: Per estimator kind: CSV column names of one curve, and its cells at one point.
+_CELLS = {
+    "outage": (("outage", "half_width"), lambda est: [est.probability, est.half_width_95]),
+    "distortion": (("avg_mse", "excluded"), lambda avg: [avg.mean, avg.excluded]),
+    "active": (("active_fraction",), lambda fraction: [fraction]),
+    "min-power": (
+        ("mean_power_optimal_w", "mean_power_equal_w", "equal_over_optimal_ratio",
+         "infeasible_trials"),
+        lambda mp: [mp.mean_optimal_w, mp.mean_equal_w, mp.mean_equal_w / mp.mean_optimal_w
+                    if mp.infeasible < mp.trials else math.nan, mp.infeasible],
+    ),
 }
+_KINDS = {"outage-compare": "outage", "active-fraction": "active"}
+
+
+def _run_sweep(cfg: ExperimentConfig):
+    """Every curve of the config from one estimator pass; returns (columns, rows).
+
+    A curve is one K, or one policy for outage-compare; all curves see the
+    same snapshots.
+    """
+    kind = _KINDS.get(cfg.scenario, cfg.scenario)
+    points = tuple(cfg.sweep.values())
+    if cfg.scenario == "outage-compare":  # (column suffix, K, policy) per curve
+        specs = [(f"_{name}", cfg.k, name) for name in cfg.policies]
+    else:
+        suffixed = kind in ("outage", "distortion")
+        specs = [(f"_k{k}" if suffixed else "", k, cfg.policy) for k in cfg.k_values]
+    curves = [Curve(kind, k, points, _policy_object(name, cfg.cap_scale), cfg.d0)
+              for _, k, name in specs]
+    results = estimate_sweep(cfg.model, curves, cfg.trials, cfg.seed, workers=cfg.workers)
+    if kind == "min-power" and all(mp.infeasible == mp.trials for mp in results[0]):
+        raise _SweepInfeasible(
+            "every trial at every sweep point was infeasible; raise d0 above the distortion floor"
+        )
+    names, cells = _CELLS[kind]
+    columns = ["d0"] if kind == "min-power" else ["p_tot_w", "p_tot_dbm"]
+    columns += [name + suffix for suffix, _, _ in specs for name in names]
+    rows = []
+    for i, x in enumerate(points):
+        row = [x] if kind == "min-power" else [x, watts_to_dbm(x)]
+        rows.append(row + [cell for curve in results for cell in cells(curve[i])])
+    return columns, rows
 
 
 def _write_csv(cfg: ExperimentConfig, columns, rows) -> None:
@@ -196,23 +136,28 @@ def _write_csv(cfg: ExperimentConfig, columns, rows) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _cmd_run(args) -> int:
+def _parse_set(items: Optional[Sequence[str]]) -> dict[str, str]:
+    """``--set section.key=value`` options as a config override dict."""
     overrides = {}
-    for item in args.set or []:
+    for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
+    return overrides
+
+
+def _cmd_run(args) -> int:
     cfg = load_config(
         args.config,
-        overrides=overrides,
+        overrides=_parse_set(args.set),
         seed=args.seed,
         trials=args.trials,
         output=args.output,
         workers=args.workers,
     )
     started = time.perf_counter()
-    columns, rows = _SCENARIOS[cfg.scenario](cfg)
+    columns, rows = _run_sweep(cfg)
     _write_csv(cfg, columns, rows)
     elapsed = time.perf_counter() - started
     print(
@@ -365,13 +310,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_dinf(args) -> int:
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set needs section.key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    model = load_model_only(args.config, overrides)
+    model = load_model_only(args.config, _parse_set(args.set))
     p_tot = parse_power(args.p_tot)
     print(f"d_infinity={_fmt(d_infinity(model, p_tot, k=args.k))}")
     return EXIT_OK

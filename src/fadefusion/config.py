@@ -191,6 +191,27 @@ def _build_model(section: configparser.SectionProxy) -> NetworkModel:
         raise ConfigError(f"invalid [model] section: {exc}") from exc
 
 
+def _read_sections(path: Optional[str], overrides: Optional[dict]) -> configparser.ConfigParser:
+    """Built-in defaults, then the file (if any), then ``section.key`` overrides."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_dict(_DEFAULTS)
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config: {exc}") from exc
+    for dotted, value in (overrides or {}).items():
+        if "." not in dotted:
+            raise ConfigError(f"--set needs section.key=value, got {dotted!r}")
+        section, key = dotted.split(".", 1)
+        if section not in parser or key not in _DEFAULTS.get(section, {}):
+            raise ConfigError(f"unknown config key {dotted!r}")
+        parser[section][key] = value
+    return parser
+
+
 def load_config(
     path: str,
     *,
@@ -206,23 +227,7 @@ def load_config(
     built-in defaults.  The default seed comes from the environment variable
     named by ``SEED_ENV_VAR``, falling back to 0.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_dict(_DEFAULTS)
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    for dotted, value in (overrides or {}).items():
-        if "." not in dotted:
-            raise ConfigError(f"--set needs section.key=value, got {dotted!r}")
-        section, key = dotted.split(".", 1)
-        if section not in parser or key not in _DEFAULTS.get(section, {}):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        parser[section][key] = value
-
+    parser = _read_sections(path, overrides)
     exp = parser["experiment"]
     scenario = exp["scenario"].strip().lower()
     if scenario not in SCENARIOS:
@@ -325,23 +330,7 @@ def load_model_only(
     path: Optional[str] = None, overrides: Optional[dict[str, str]] = None
 ) -> NetworkModel:
     """Build a NetworkModel from the [model] section alone (defaults if no file)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_dict(_DEFAULTS)
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config: {exc}") from exc
-    for dotted, value in (overrides or {}).items():
-        if "." not in dotted:
-            raise ConfigError(f"--set needs section.key=value, got {dotted!r}")
-        section, key = dotted.split(".", 1)
-        if section not in parser or key not in _DEFAULTS.get(section, {}):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        parser[section][key] = value
-    return _build_model(parser["model"])
+    return _build_model(_read_sections(path, overrides)["model"])
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -364,3 +364,18 @@ class TestBatchKernels:
         total, k1m, feasible = min_power_total_batch(gamma, s, 1.0, 0.6)
         assert not feasible[0] and math.isinf(total[0])
         assert feasible[1] and math.isfinite(total[1])
+
+    def test_budget_array_equals_one_call_per_budget(self):
+        rng = np.random.default_rng(31)
+        gamma = 10 ** rng.uniform(-0.3, 2.3, (200, 5))
+        s = 10 ** rng.uniform(-1.3, 1.3, (200, 5))
+        s[7] = 0.0  # a dead row
+        budgets = np.array([0.01, 0.3, 3.0, 100.0])
+        mse_opt, k1 = sum_power_mse_batch(gamma, s, 1.0, budgets)
+        mse_eq = equal_power_mse_batch(gamma, s, 1.0, budgets)
+        assert mse_opt.shape == k1.shape == mse_eq.shape == (4, 200)
+        for j, p_tot in enumerate(budgets):
+            one_mse, one_k1 = sum_power_mse_batch(gamma, s, 1.0, p_tot)
+            np.testing.assert_array_equal(mse_opt[j], one_mse)
+            np.testing.assert_array_equal(k1[j], one_k1)
+            np.testing.assert_array_equal(mse_eq[j], equal_power_mse_batch(gamma, s, 1.0, p_tot))
