@@ -18,6 +18,11 @@ binding constraint.
 projected gradient descent and exists purely as an independent correctness
 oracle for tests.
 
+Each closed-form problem has one row path, the public solver, and one batch
+path for Monte Carlo chunks (the ``*_batch`` kernels), and every threshold
+scan cuts through ``_prefix_cut``.  A scalar solve as a one-row batch call
+measured 2-4x slower, so the row solvers stay, as the batch kernels' reference.
+
 All solvers require finite observation SNRs: a noiseless sensor has
 constant (non-diminishing) marginal returns, so the threshold structure
 degenerates.  Zero-merit sensors (dead channels) are excluded from ranking
@@ -120,19 +125,40 @@ def _require_finite_gamma(snapshot: Snapshot) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sum-power problem: closed-form waterfilling core
+# Row scans: sum-power waterfilling and minimum power under a target
 # ---------------------------------------------------------------------------
 
 
-def _leading_true_run(positive: np.ndarray, usable: int, label: str) -> int:
-    """Length of the leading True run; verifies the positives form exactly a prefix."""
-    head = positive[:usable]
-    k1 = usable if head.all() else int(np.argmin(head))
-    if k1 == 0 or head[k1:].any():
-        raise InternalConsistencyError(
-            f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
-        )
-    return k1
+def _check_budget(snapshot: Snapshot, total_power: float) -> None:
+    if not (total_power > 0 and math.isfinite(total_power)):
+        raise ValueError("total_power must be positive and finite")
+    _require_finite_gamma(snapshot)
+    if not np.count_nonzero(snapshot.eta > 0):
+        raise NoUsableSensor("all channel merits are zero")
+
+
+def _rank_row(gamma: np.ndarray, eta: np.ndarray):
+    """One snapshot ranked by descending merit, cut to its usable sensors.
+
+    Returns (order, gamma_u, eta_u, sqrt_eta, a) with a = cumsum(gamma/sqrt(eta)).
+    """
+    order = np.argsort(-eta, kind="stable")
+    eta_r = eta[order]
+    usable = int(np.count_nonzero(eta_r > 0))
+    gamma_u = gamma[order[:usable]]
+    eta_u = eta_r[:usable]
+    sqrt_eta = np.sqrt(eta_u)
+    return order, gamma_u, eta_u, sqrt_eta, np.cumsum(gamma_u / sqrt_eta)
+
+
+def _alpha_on_prefix(
+    gamma: np.ndarray, s: np.ndarray, eta: np.ndarray, order: np.ndarray, k1: int, threshold
+) -> np.ndarray:
+    """Budgets (gamma/s)(threshold*sqrt(eta) - 1)+ on the first k1 ranked sensors, 0 elsewhere."""
+    alpha = np.zeros_like(eta)
+    active = order[:k1]
+    alpha[active] = gamma[active] / s[active] * np.maximum(threshold * np.sqrt(eta[active]) - 1.0, 0.0)
+    return alpha
 
 
 def _waterfill_row(
@@ -143,24 +169,11 @@ def _waterfill_row(
     Returns (alpha_prime, active_count, threshold) where ``threshold`` is the
     constant c such that sensor k is active iff c * sqrt(eta_k) > 1.
     """
-    order = np.argsort(-eta, kind="stable")
-    eta_r = eta[order]
-    usable = int(np.count_nonzero(eta_r > 0))
-    if usable == 0:
-        raise NoUsableSensor("all channel merits are zero")
-
-    gamma_u = gamma[order[:usable]]
-    eta_u = eta_r[:usable]
-    sqrt_eta = np.sqrt(eta_u)
-    a = np.cumsum(gamma_u / sqrt_eta)
+    order, gamma_u, eta_u, sqrt_eta, a = _rank_row(gamma, eta)
     b = np.cumsum(gamma_u / eta_u) + total_power
-    k1 = _leading_true_run(sqrt_eta * b / a - 1.0 > 0, usable, "sum-power")
+    k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], 1, "sum-power")[0])
     c0 = b[k1 - 1] / a[k1 - 1]
-
-    alpha = np.zeros_like(eta)
-    active = order[:k1]
-    alpha[active] = gamma[active] / s[active] * np.maximum(c0 * np.sqrt(eta[active]) - 1.0, 0.0)
-    return alpha, k1, float(c0)
+    return _alpha_on_prefix(gamma, s, eta, order, k1, c0), k1, float(c0)
 
 
 def max_performance_allocation(
@@ -172,10 +185,7 @@ def max_performance_allocation(
     ``total_power``.  Sensors whose merit falls below 1/threshold**2 are
     shut off entirely.
     """
-    if not (total_power > 0 and math.isfinite(total_power)):
-        raise ValueError("total_power must be positive and finite")
-    _require_finite_gamma(snapshot)
-
+    _check_budget(snapshot, total_power)
     alpha, _, c0 = _waterfill_row(snapshot.gamma, snapshot.s, snapshot.eta, total_power)
     dual = c0**-2
 
@@ -204,14 +214,10 @@ def max_performance_with_caps(
     clipped sensors and their power from the problem, repeat.  Terminates in
     at most K passes since each pass removes at least one sensor.  If the
     caps together cannot absorb the budget, everything ends up clipped and
-    the sum constraint is left slack at sum(caps).
+    the sum constraint is left slack at sum(caps).  ``capped_mse_batch`` is
+    the masked batch form of this loop and is tested against it.
     """
-    if not (total_power > 0 and math.isfinite(total_power)):
-        raise ValueError("total_power must be positive and finite")
-    _require_finite_gamma(snapshot)
-    if not np.count_nonzero(snapshot.eta > 0):
-        raise NoUsableSensor("all channel merits are zero")
-
+    _check_budget(snapshot, total_power)
     k = snapshot.k
     limits = caps.alpha_limits(snapshot)
     cap_power = np.array(caps.caps)
@@ -248,11 +254,6 @@ def max_performance_with_caps(
     return Allocation(tuple(alpha)), diagnostics
 
 
-# ---------------------------------------------------------------------------
-# Minimum-power problem under a distortion target
-# ---------------------------------------------------------------------------
-
-
 def _check_target(snapshot: Snapshot, distortion_target: float) -> float:
     """Validate strict feasibility and return the required fused SNR total."""
     if not (distortion_target > 0 and math.isfinite(distortion_target)):
@@ -278,23 +279,14 @@ def min_power_allocation(
     _require_finite_gamma(snapshot)
     required = _check_target(snapshot, distortion_target)
 
-    gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
-    order = np.argsort(-eta, kind="stable")
-    eta_r = eta[order]
-    usable = int(np.count_nonzero(eta_r > 0))
-    gamma_u = gamma[order[:usable]]
-    eta_u = eta_r[:usable]
-    sqrt_eta = np.sqrt(eta_u)
-    c = np.cumsum(gamma_u / sqrt_eta)
+    order, gamma_u, _, sqrt_eta, c = _rank_row(snapshot.gamma, snapshot.eta)
     d = np.cumsum(gamma_u) - required
-    k1 = _leading_true_run(1.0 - d / (sqrt_eta * c) > 0, usable, "min-power")
+    least = min(int(np.count_nonzero(d <= 0)) + 1, d.size)
+    k1 = int(_prefix_cut((1.0 - d / (sqrt_eta * c))[None, :], least, "min-power")[0])
     if not d[k1 - 1] > 0:
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     rho0 = float(c[k1 - 1] / d[k1 - 1])
-
-    alpha = np.zeros_like(eta)
-    active = order[:k1]
-    alpha[active] = gamma[active] / s[active] * np.maximum(rho0 * np.sqrt(eta[active]) - 1.0, 0.0)
+    alpha = _alpha_on_prefix(snapshot.gamma, snapshot.s, snapshot.eta, order, k1, rho0)
 
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
@@ -409,12 +401,7 @@ def numeric_reference_allocation(
     objective decrease stays below ``step_tol`` per step.  Used only as a
     test oracle; prefer the closed-form solvers everywhere else.
     """
-    if not (total_power > 0 and math.isfinite(total_power)):
-        raise ValueError("total_power must be positive and finite")
-    _require_finite_gamma(snapshot)
-    if not np.count_nonzero(snapshot.eta > 0):
-        raise NoUsableSensor("all channel merits are zero")
-
+    _check_budget(snapshot, total_power)
     s = snapshot.s
     inv_gamma = snapshot.inv_gamma
     weights = 1.0 + inv_gamma
@@ -478,13 +465,26 @@ def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     return eta_r, gamma_r, usable, order
 
 
-def _prefix_cut(positive: np.ndarray, label: str) -> np.ndarray:
-    """Per-row length of the leading True run; verifies prefix structure."""
-    k1 = positive.sum(axis=1)
-    if (positive != (np.arange(positive.shape[1]) < k1[:, None])).any():
-        raise InternalConsistencyError(
-            f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
-        )
+def _prefix_cut(margin: np.ndarray, least, label: str) -> np.ndarray:
+    """Per-row cutoff of a ranked threshold scan: its leading run of positive margins.
+
+    The cutoff is at least ``least`` (per row or for all), the sensors exact
+    arithmetic keeps active although their margins can round to zero next to
+    a huge gamma.  A positive margin after the cutoff is a near-tie rounded
+    the wrong way when <= 1e-12 and breaks the unique-cutoff property above.
+    """
+    positive = margin > 0
+    k1 = np.maximum(positive.sum(axis=1), least)
+    columns = np.arange(positive.shape[1])
+    mismatch = positive != (columns < k1[:, None])
+    if mismatch.any():
+        rows = np.flatnonzero(mismatch.any(axis=1))
+        cut = np.maximum(np.argmin(positive[rows], axis=1), np.broadcast_to(least, k1.shape)[rows])
+        if (np.where(columns >= cut[:, None], margin[rows], 0.0) > 1e-12).any():
+            raise InternalConsistencyError(
+                f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
+            )
+        k1[rows] = cut
     return k1
 
 
@@ -502,16 +502,17 @@ def _waterfill_prefix(eta_r, gamma_r, usable):
 
 
 def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
-    """Optimal distortion, cutoff index and threshold constant per row at one budget.
+    """Optimal distortion, cutoff index and threshold constant per row.
 
+    ``total_power`` is one budget for every row or an array of one per row.
     Rows with no usable sensor get mse = +inf, k1 = 0 and c0 = nan.
     """
-    ratio = w + total_power  # becomes sqrt(eta) * b / a in place, b = w + P
-    ratio *= sqrt_eta
+    margin = w + np.asarray(total_power)[..., None]  # becomes sqrt(eta) * b / a - 1, b = w + P
+    margin *= sqrt_eta
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio /= a
-    f_positive = (a > 0) & (ratio > 1.0)
-    k1 = _prefix_cut(f_positive, "sum-power")
+        margin /= a
+    margin -= 1.0
+    k1 = _prefix_cut(margin, a[:, 0] > 0, "sum-power")
     at_cut = np.arange(a.shape[0]) * a.shape[1] + np.maximum(k1 - 1, 0)  # flat (row, k1-1)
     a_cut = a.take(at_cut)
     c0 = np.where(k1 > 0, (w.take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0), np.nan)
@@ -575,14 +576,13 @@ def min_power_total_batch(
     sqrt_eta, c, w, prefix_gamma = _waterfill_prefix(eta_r, gamma_r, usable)
     d = prefix_gamma - required
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_positive = np.where(usable & (c > 0), 1.0 - d / (sqrt_eta * c), -1.0) > 0
-    g_positive &= feasible[:, None]
-
-    k1 = _prefix_cut(g_positive, "min-power")
+        margin = np.where(usable & (c > 0) & feasible[:, None], 1.0 - d / (sqrt_eta * c), -1.0)
+    least = np.where(feasible, np.minimum((d <= 0).sum(axis=1) + 1, d.shape[1]), 0)
+    k1 = _prefix_cut(margin, least, "min-power")
     rows = np.arange(gamma.shape[0])
     idx = np.maximum(k1 - 1, 0)
     denom = d[rows, idx]
-    if (feasible & ((k1 == 0) | (denom <= 0))).any():
+    if (feasible & (denom <= 0)).any():
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     rho0 = np.where(feasible, c[rows, idx] / np.where(denom > 0, denom, 1.0), np.nan)
     # Sum of P_k = rho0 * gamma/sqrt(eta) - gamma/eta over the active prefix.
@@ -590,64 +590,60 @@ def min_power_total_batch(
     return total, np.where(feasible, k1, 0), feasible
 
 
-def capped_mse_row(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float, cap_power: float
-) -> float:
-    """Distortion under the capped optimal allocation for one array-form snapshot.
-
-    Uniform transmit cap per sensor; +inf when no sensor is usable.
-    """
-    eta = s / (1.0 + 1.0 / gamma)
-    if not (eta > 0).any():
-        return math.inf
-    limits = cap_power / (1.0 + 1.0 / gamma)
-    k = gamma.shape[0]
-    alpha = np.zeros(k)
-    free = np.ones(k, dtype=bool)
-    budget = float(total_power)
-    budget_dust = total_power * 1e-14
-    for _ in range(k + 1):
-        idx = np.flatnonzero(free)
-        if idx.size == 0 or budget <= budget_dust or not (eta[idx] > 0).any():
-            break
-        sub_alpha, _, _ = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
-        violated = sub_alpha >= limits[idx]
-        if not violated.any():
-            alpha[idx] = sub_alpha
-            break
-        clipped = idx[violated]
-        alpha[clipped] = limits[clipped]
-        budget = max(budget - cap_power * clipped.size, 0.0)
-        free[clipped] = False
-    x = alpha * s
-    total = float(np.sum(x / (x / gamma + 1.0)))
-    return sigma_theta_sq / total if total > 0 else math.inf
-
-
 def capped_mse_batch(
     gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float, cap_power: float
 ) -> np.ndarray:
-    """Capped-allocation distortion for a (trials, K) batch.
+    """Capped-allocation distortion for a (trials, K) batch, one transmit cap for all sensors.
 
-    Rows whose uncapped optimum already respects the caps are finished
-    vectorized; only rows with cap violations fall back to the per-row
-    clipping loop.
+    The masked batch form of the clipping loop in max_performance_with_caps.
+    Each pass re-waterfills the unfinished rows with their clipped sensors at
+    zero merit, clips every violator to its cap and takes cap_power per
+    clipped sensor off that row's budget.  A row finishes when a pass clips
+    nothing or its budget is spent.  Rows that clip nothing in the first pass
+    keep its closed-form distortion; clipped rows sum the per-sensor
+    contributions.  +inf marks rows with no usable sensor.
     """
-    eta_r, gamma_r, usable, order = _rank_batch(gamma, s)
-    sqrt_eta, *sums = _waterfill_prefix(eta_r, gamma_r, usable)
-    mse, k1, c0 = _waterfill_mse(sqrt_eta, *sums, total_power, sigma_theta_sq)
+    n, k = gamma.shape
+    limits = cap_power / (1.0 + 1.0 / gamma)
+    alpha = np.zeros((n, k))
+    free = np.ones((n, k), dtype=bool)
+    budget = np.full(n, float(total_power))
+    budget_dust = total_power * 1e-14  # clipping can leave rounding residue
+    rows = np.arange(n)
+    for step in range(k + 1):
+        s_free = np.where(free[rows], s[rows], 0.0)
+        eta_r, gamma_r, usable, order = _rank_batch(gamma[rows], s_free)
+        sqrt_eta, *sums = _waterfill_prefix(eta_r, gamma_r, usable)
+        pass_mse, k1, c0 = _waterfill_mse(sqrt_eta, *sums, budget[rows], sigma_theta_sq)
+        s_r = np.take_along_axis(s_free, order, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha_r = gamma_r / s_r * np.maximum(c0[:, None] * sqrt_eta - 1.0, 0.0)
+        alpha_r[np.arange(k) >= k1[:, None]] = 0.0
+        violated_r = alpha_r >= cap_power / (1.0 + 1.0 / gamma_r)
+        clips = violated_r.any(axis=1)
+        if step == 0:
+            mse = pass_mse
+        else:
+            done = ~clips
+            finished = np.zeros((int(done.sum()), k))
+            np.put_along_axis(finished, order[done], alpha_r[done], axis=1)
+            alpha[rows[done]] += finished  # clipped sensors hold their caps, the rest 0
 
-    # Uncapped budgets in ranked coordinates, for violation detection only.
-    s_r = np.take_along_axis(s, order, axis=1)
-    in_prefix = np.arange(gamma.shape[1]) < k1[:, None]
-    with np.errstate(invalid="ignore"):
-        alpha_r = np.where(
-            in_prefix, gamma_r / np.where(s_r > 0, s_r, 1.0) * (c0[:, None] * sqrt_eta - 1.0), 0.0
-        )
-    limits_r = cap_power / (1.0 + 1.0 / gamma_r)
-    violating = (alpha_r >= limits_r).any(axis=1)
-    for row in np.flatnonzero(violating):
-        mse[row] = capped_mse_row(gamma[row], s[row], sigma_theta_sq, total_power, cap_power)
+        rows, order, violated_r = rows[clips], order[clips], violated_r[clips]
+        violated = np.zeros((rows.size, k), dtype=bool)
+        np.put_along_axis(violated, order, violated_r, axis=1)
+        alpha[rows] = np.where(violated, limits[rows], alpha[rows])
+        free[rows] &= ~violated
+        budget[rows] = np.maximum(budget[rows] - cap_power * violated_r.sum(axis=1), 0.0)
+        rows = rows[budget[rows] > budget_dust]
+        if rows.size == 0:
+            break
+    else:
+        raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
+
+    hit = np.flatnonzero(~free.all(axis=1))
+    x = alpha[hit] * s[hit]
+    mse[hit] = _mse_from_total(np.sum(x / (x / gamma[hit] + 1.0), axis=1), sigma_theta_sq)
     return mse
 
 
@@ -674,11 +670,6 @@ def optimality_certificate(
     return stationarity, complementarity
 
 
-def feasibility_floor(snapshot: Snapshot) -> float:
-    """Distortion floor used in infeasibility reports (alias of the model helper)."""
-    return distortion_floor(snapshot)
-
-
 __all__ = [
     "RankedView",
     "AllocationDiagnostics",
@@ -690,10 +681,8 @@ __all__ = [
     "l2_min_power_allocation",
     "numeric_reference_allocation",
     "optimality_certificate",
-    "feasibility_floor",
     "sum_power_mse_batch",
     "equal_power_mse_batch",
     "min_power_total_batch",
-    "capped_mse_row",
     "capped_mse_batch",
 ]

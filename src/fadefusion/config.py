@@ -123,9 +123,6 @@ _DEFAULTS = {
     },
 }
 
-_DEFAULT_TRIALS = {"min-power": 10_000}
-
-
 def _parse_int(section: str, key: str, raw: str) -> int:
     try:
         return int(raw)
@@ -260,11 +257,7 @@ def load_config(
 
     if trials is None:
         raw_trials = exp["trials"].strip()
-        trials = (
-            _parse_int("experiment", "trials", raw_trials)
-            if raw_trials
-            else _DEFAULT_TRIALS.get(scenario, 10_000)
-        )
+        trials = _parse_int("experiment", "trials", raw_trials) if raw_trials else 10_000
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 

@@ -5,6 +5,7 @@ import pytest
 
 import fadefusion as ff
 from fadefusion.allocation import (
+    _prefix_cut,
     capped_mse_batch,
     equal_power_mse_batch,
     min_power_total_batch,
@@ -330,30 +331,38 @@ class TestNumericReference:
 class TestBatchKernels:
     def test_batch_matches_object_solvers(self):
         rng = np.random.default_rng(27)
-        n, k = 64, 6
-        gamma = 10 ** rng.uniform(-0.3, 2.3, (n, k))
-        s = 10 ** rng.uniform(-1.3, 1.3, (n, k))
-        p_tot, d0, cap_scale = 3.0, None, 1.5
-        mse_opt, k1 = sum_power_mse_batch(gamma, s, 1.0, p_tot)
-        mse_eq = equal_power_mse_batch(gamma, s, 1.0, p_tot)
-        mse_cap = capped_mse_batch(gamma, s, 1.0, p_tot, cap_scale * p_tot / k)
-        floors = 1.0 / gamma.sum(axis=1)
-        d0 = float(floors.max() * 2.0)
-        total_min, k1_min, feasible = min_power_total_batch(gamma, s, 1.0, d0)
-        assert feasible.all()
-        for i in range(n):
-            s1 = ff.Snapshot.from_arrays(1.0, gamma[i], s[i])
-            alloc, diag = ff.max_performance_allocation(s1, p_tot)
-            assert mse_opt[i] == pytest.approx(ff.blue_mse(s1, alloc), rel=1e-12)
-            assert k1[i] == diag.active_count
-            assert mse_eq[i] == pytest.approx(ff.equal_power_mse(s1, p_tot), rel=1e-12)
-            capped, _ = ff.max_performance_with_caps(
-                s1, p_tot, ff.CapVector.uniform(k, cap_scale * p_tot / k)
-            )
-            assert mse_cap[i] == pytest.approx(ff.blue_mse(s1, capped), rel=1e-12)
-            mp, mp_diag = ff.min_power_allocation(s1, d0)
-            assert total_min[i] == pytest.approx(mp.total_power(s1), rel=1e-12)
-            assert k1_min[i] == mp_diag.active_count
+        n, p_tot = 64, 3.0
+        for k in (3, 20, 100):
+            gamma = 10 ** rng.uniform(-0.3, 2.3, (n, k))
+            s = 10 ** rng.uniform(-1.3, 1.3, (n, k))
+            dead = rng.random((n // 2, k)) < 0.5
+            dead[:, 0] = False
+            s[: n // 2][dead] = 0.0  # dead sensors in half the rows
+            s[:4, 1:] = 0.0  # one live sensor: the caps cannot absorb the budget
+            mse_opt, k1 = sum_power_mse_batch(gamma, s, 1.0, p_tot)
+            mse_eq = equal_power_mse_batch(gamma, s, 1.0, p_tot)
+            mse_cap = {
+                scale: capped_mse_batch(gamma, s, 1.0, p_tot, scale * p_tot / k)
+                for scale in (1.05, 1.5, 3.0)
+            }
+            floors = 1.0 / np.where(s > 0, gamma, 0.0).sum(axis=1)
+            d0 = float(floors.max() * 2.0)
+            total_min, k1_min, feasible = min_power_total_batch(gamma, s, 1.0, d0)
+            assert feasible.all()
+            for i in range(n):
+                s1 = ff.Snapshot.from_arrays(1.0, gamma[i], s[i])
+                alloc, diag = ff.max_performance_allocation(s1, p_tot)
+                assert mse_opt[i] == pytest.approx(ff.blue_mse(s1, alloc), rel=1e-12)
+                assert k1[i] == diag.active_count
+                assert mse_eq[i] == pytest.approx(ff.equal_power_mse(s1, p_tot), rel=1e-12)
+                for scale, mse in mse_cap.items():
+                    capped, _ = ff.max_performance_with_caps(
+                        s1, p_tot, ff.CapVector.uniform(k, scale * p_tot / k)
+                    )
+                    assert mse[i] == pytest.approx(ff.blue_mse(s1, capped), rel=1e-12)
+                mp, mp_diag = ff.min_power_allocation(s1, d0)
+                assert total_min[i] == pytest.approx(mp.total_power(s1), rel=1e-12)
+                assert k1_min[i] == mp_diag.active_count
 
     def test_batch_handles_dead_rows(self):
         gamma = np.array([[2.0, 3.0], [2.0, 3.0]])
@@ -379,3 +388,17 @@ class TestBatchKernels:
             np.testing.assert_array_equal(mse_opt[j], one_mse)
             np.testing.assert_array_equal(k1[j], one_k1)
             np.testing.assert_array_equal(mse_eq[j], equal_power_mse_batch(gamma, s, 1.0, p_tot))
+
+
+class TestPrefixCut:
+    def test_rounding_stray_is_accepted_and_a_real_one_raises(self):
+        margin = np.array([[0.3, 0.1, -0.2, 2.2e-16, -0.5], [0.4, -0.1, -0.2, -0.3, -0.5]])
+        np.testing.assert_array_equal(_prefix_cut(margin, 1, "test"), [2, 1])
+        margin[0, 3] = 1e-3
+        with pytest.raises(ff.InternalConsistencyError, match="test threshold scan"):
+            _prefix_cut(margin, 1, "test")
+
+    def test_forced_sensors_count_as_active(self):
+        # a margin rounded to 0 next to a huge gamma, with a stray after it
+        margin = np.array([[0.0, -0.3, 1.1e-16], [-1.0, -1.0, -1.0]])
+        np.testing.assert_array_equal(_prefix_cut(margin, np.array([2, 0]), "test"), [2, 0])

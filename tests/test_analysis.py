@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -308,3 +309,19 @@ class TestAverageMinPower:
         a = ff.average_min_power(model, 20, 0.001, 140_000, seed=23)
         b = ff.average_min_power(model, 20, 0.001, 140_000, seed=23, workers=4)
         assert a == b
+
+
+class TestNearTies:
+    """A one-ulp near-tie in one row's threshold scan must not abort the whole run."""
+
+    def test_capped_outage_at_a_negligible_budget(self):
+        est = ff.outage_probability(default_network(), 5, ff.CappedPolicy(), 0.02, 1e-30, 2000, seed=1)
+        assert est.count == est.trials == 2000
+
+    def test_min_power_with_extreme_observation_snrs(self):
+        model = dataclasses.replace(
+            default_network(), observation=ff.ObservationModel.lognormal(0.01, 30.0)
+        )
+        summary = ff.average_min_power(model, 20, 1e-3, 2000, seed=3)
+        assert summary.trials == 2000 and summary.infeasible == 0
+        assert math.isfinite(summary.mean_optimal_w) and summary.mean_equal_w > 0
