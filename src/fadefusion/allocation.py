@@ -20,8 +20,8 @@ oracle for tests.
 
 Each closed-form problem has one row path, the public solver, and one batch
 path for Monte Carlo chunks (the ``*_batch`` kernels), and every threshold
-scan cuts through ``_prefix_cut``.  A scalar solve as a one-row batch call
-measured 2-4x slower, so the row solvers stay, as the batch kernels' reference.
+scan cuts through ``_prefix_cut``.  The row solvers stay separate from the
+batch kernels because they are the kernels' independent test reference.
 
 All solvers require finite observation SNRs: a noiseless sensor has
 constant (non-diminishing) marginal returns, so the threshold structure
@@ -133,7 +133,7 @@ def _check_budget(snapshot: Snapshot, total_power: float) -> None:
     if not (total_power > 0 and math.isfinite(total_power)):
         raise ValueError("total_power must be positive and finite")
     _require_finite_gamma(snapshot)
-    if not np.count_nonzero(snapshot.eta > 0):
+    if not snapshot.eta.any():
         raise NoUsableSensor("all channel merits are zero")
 
 
@@ -148,12 +148,10 @@ def _rank_row(gamma: np.ndarray, eta: np.ndarray):
     gamma_u = gamma[order[:usable]]
     eta_u = eta_r[:usable]
     sqrt_eta = np.sqrt(eta_u)
-    return order, gamma_u, eta_u, sqrt_eta, np.cumsum(gamma_u / sqrt_eta)
+    return order, gamma_u, eta_u, sqrt_eta, np.add.accumulate(gamma_u / sqrt_eta)
 
 
-def _alpha_on_prefix(
-    gamma: np.ndarray, s: np.ndarray, eta: np.ndarray, order: np.ndarray, k1: int, threshold
-) -> np.ndarray:
+def _alpha_on_prefix(gamma, s, eta, order, k1: int, threshold) -> np.ndarray:
     """Budgets (gamma/s)(threshold*sqrt(eta) - 1)+ on the first k1 ranked sensors, 0 elsewhere."""
     alpha = np.zeros_like(eta)
     active = order[:k1]
@@ -170,8 +168,10 @@ def _waterfill_row(
     constant c such that sensor k is active iff c * sqrt(eta_k) > 1.
     """
     order, gamma_u, eta_u, sqrt_eta, a = _rank_row(gamma, eta)
-    b = np.cumsum(gamma_u / eta_u) + total_power
-    k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], 1, "sum-power")[0])
+    b = np.add.accumulate(gamma_u / eta_u) + total_power  # np.cumsum without its call overhead
+    k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], "sum-power")[0])
+    if k1 == 0:
+        raise InternalConsistencyError("sum-power budget is below the closed form's resolution")
     c0 = b[k1 - 1] / a[k1 - 1]
     return _alpha_on_prefix(gamma, s, eta, order, k1, c0), k1, float(c0)
 
@@ -280,9 +280,9 @@ def min_power_allocation(
     required = _check_target(snapshot, distortion_target)
 
     order, gamma_u, _, sqrt_eta, c = _rank_row(snapshot.gamma, snapshot.eta)
-    d = np.cumsum(gamma_u) - required
-    least = min(int(np.count_nonzero(d <= 0)) + 1, d.size)
-    k1 = int(_prefix_cut((1.0 - d / (sqrt_eta * c))[None, :], least, "min-power")[0])
+    margin, *_, prefix_gamma = _min_power_scan(1.0 / sqrt_eta[None, :], gamma_u[None, :], required)
+    d = prefix_gamma[0] - required
+    k1 = int(_prefix_cut(margin, "min-power")[0])
     if not d[k1 - 1] > 0:
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     rho0 = float(c[k1 - 1] / d[k1 - 1])
@@ -465,27 +465,39 @@ def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     return eta_r, gamma_r, usable, order
 
 
-def _prefix_cut(margin: np.ndarray, least, label: str) -> np.ndarray:
+def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
     """Per-row cutoff of a ranked threshold scan: its leading run of positive margins.
 
-    The cutoff is at least ``least`` (per row or for all), the sensors exact
-    arithmetic keeps active although their margins can round to zero next to
-    a huge gamma.  A positive margin after the cutoff is a near-tie rounded
-    the wrong way when <= 1e-12 and breaks the unique-cutoff property above.
+    A positive margin after the run is a near-tie rounded the wrong way when
+    <= 1e-12 and breaks the unique-cutoff property above.
     """
     positive = margin > 0
-    k1 = np.maximum(positive.sum(axis=1), least)
-    columns = np.arange(positive.shape[1])
-    mismatch = positive != (columns < k1[:, None])
-    if mismatch.any():
-        rows = np.flatnonzero(mismatch.any(axis=1))
-        cut = np.maximum(np.argmin(positive[rows], axis=1), np.broadcast_to(least, k1.shape)[rows])
-        if (np.where(columns >= cut[:, None], margin[rows], 0.0) > 1e-12).any():
+    k1 = positive.sum(axis=1)
+    broken = positive[:, 1:] > positive[:, :-1]  # a positive margin after a non-positive one
+    if broken.any():
+        rows = np.flatnonzero(broken.any(axis=1))
+        k1[rows] = np.argmin(positive[rows], axis=1)
+        after = np.arange(margin.shape[1]) >= k1[rows, None]
+        if (np.where(after, margin[rows], 0.0) > 1e-12).any():
             raise InternalConsistencyError(
                 f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
             )
-        k1[rows] = cut
     return k1
+
+
+def _min_power_scan(u, gamma_r, required):
+    """Min-power scan over ranked rows: sensor m is active iff required*u_m > L_m.
+
+    u = 1/sqrt(eta) and L_m = sum_{j<m} gamma_j (u_m - u_j) sums non-negative steps, so
+    no gamma cancels against itself (1 - d/(sqrt(eta)*c) loses every digit next to a
+    gamma above ~1e16).  ``u`` and ``gamma_r`` are 0 on unusable sensors.  Returns the
+    margins 1 - L/(required*u), diff(u), L and cumsum(gamma).
+    """
+    prefix_gamma = np.add.accumulate(gamma_r, axis=1)
+    du = u[:, 1:] - u[:, :-1]
+    lead = np.zeros(u.shape)
+    np.add.accumulate(prefix_gamma[:, :-1] * du, axis=1, out=lead[:, 1:])
+    return 1.0 - lead / (required * u), du, lead, prefix_gamma
 
 
 def _waterfill_prefix(eta_r, gamma_r, usable):
@@ -512,7 +524,7 @@ def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
     with np.errstate(divide="ignore", invalid="ignore"):
         margin /= a
     margin -= 1.0
-    k1 = _prefix_cut(margin, a[:, 0] > 0, "sum-power")
+    k1 = _prefix_cut(margin, "sum-power")
     at_cut = np.arange(a.shape[0]) * a.shape[1] + np.maximum(k1 - 1, 0)  # flat (row, k1-1)
     a_cut = a.take(at_cut)
     c0 = np.where(k1 > 0, (w.take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0), np.nan)
@@ -572,21 +584,22 @@ def min_power_total_batch(
     """
     required = sigma_theta_sq / distortion_target
     eta_r, gamma_r, usable, _ = _rank_batch(gamma, s)
-    feasible = np.where(usable, gamma_r, 0.0).sum(axis=1) > required
-    sqrt_eta, c, w, prefix_gamma = _waterfill_prefix(eta_r, gamma_r, usable)
-    d = prefix_gamma - required
+    g = np.where(usable, gamma_r, 0.0)
+    feasible = g.sum(axis=1) > required
     with np.errstate(divide="ignore", invalid="ignore"):
-        margin = np.where(usable & (c > 0) & feasible[:, None], 1.0 - d / (sqrt_eta * c), -1.0)
-    least = np.where(feasible, np.minimum((d <= 0).sum(axis=1) + 1, d.shape[1]), 0)
-    k1 = _prefix_cut(margin, least, "min-power")
-    rows = np.arange(gamma.shape[0])
-    idx = np.maximum(k1 - 1, 0)
-    denom = d[rows, idx]
-    if (feasible & (denom <= 0)).any():
+        u = np.where(usable, 1.0 / np.sqrt(eta_r), 0.0)
+        margin, du, lead, prefix_gamma = _min_power_scan(u, g, required)
+    k1 = _prefix_cut(np.where(usable & feasible[:, None], margin, -1.0), "min-power")
+    d = prefix_gamma[np.arange(g.shape[0]), np.maximum(k1 - 1, 0)] - required
+    if (feasible & ~(d > 0)).any():
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
-    rho0 = np.where(feasible, c[rows, idx] / np.where(denom > 0, denom, 1.0), np.nan)
-    # Sum of P_k = rho0 * gamma/sqrt(eta) - gamma/eta over the active prefix.
-    total = np.where(feasible, rho0 * c[rows, idx] - w[rows, idx], np.inf)
+    # P_k = gamma_k u_k (required u_k - L_k + R_k) / d on the active prefix, R_k = sum_{k<j<=k1}
+    # gamma_j (u_j - u_k) summed like L; rho0*c - w loses every digit next to a huge gamma.
+    g[np.arange(g.shape[1]) >= k1[:, None]] = 0.0
+    steps = np.cumsum(g[:, :0:-1], axis=1)[:, ::-1] * du  # (gamma over active j > i)(u_{i+1} - u_i)
+    trail = np.pad(np.cumsum(steps[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    total = np.sum(g * u * (required * u - lead + trail), axis=1)
+    total = np.where(feasible, total / np.where(feasible, d, 1.0), np.inf)
     return total, np.where(feasible, k1, 0), feasible
 
 

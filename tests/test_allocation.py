@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,11 @@ class TestMaxPerformance:
         noiseless = ff.Snapshot(ff.SignalPrior(1.0), (ff.SensorSite.noiseless(1.0),))
         with pytest.raises(ValueError):
             ff.max_performance_allocation(noiseless, 1.0)
+
+    def test_a_budget_below_resolution_raises_instead_of_returning_zeros(self):
+        # P*eta/gamma ~ 1e-21: c*sqrt(eta) - 1 rounds to 0 for every sensor
+        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
+            ff.max_performance_allocation(snap([10.0, 5.0], [1.0, 0.5]), 1e-20)
 
 
 class TestMaxPerformanceWithCaps:
@@ -393,12 +399,21 @@ class TestBatchKernels:
 class TestPrefixCut:
     def test_rounding_stray_is_accepted_and_a_real_one_raises(self):
         margin = np.array([[0.3, 0.1, -0.2, 2.2e-16, -0.5], [0.4, -0.1, -0.2, -0.3, -0.5]])
-        np.testing.assert_array_equal(_prefix_cut(margin, 1, "test"), [2, 1])
+        np.testing.assert_array_equal(_prefix_cut(margin, "test"), [2, 1])
         margin[0, 3] = 1e-3
         with pytest.raises(ff.InternalConsistencyError, match="test threshold scan"):
-            _prefix_cut(margin, 1, "test")
+            _prefix_cut(margin, "test")
 
-    def test_forced_sensors_count_as_active(self):
-        # a margin rounded to 0 next to a huge gamma, with a stray after it
-        margin = np.array([[0.0, -0.3, 1.1e-16], [-1.0, -1.0, -1.0]])
-        np.testing.assert_array_equal(_prefix_cut(margin, np.array([2, 0]), "test"), [2, 0])
+    def test_min_power_next_to_a_huge_gamma(self):
+        # The middle sensor (gamma 1e20) is needed to meet the target: its
+        # 1 - d/(sqrt(eta)*c) margin rounds to 0 and rho0*c - w loses every digit.
+        gamma, s = np.array([[3.0, 1e20, 5.0]]), np.array([[2.0, 1.0, 0.5]])
+        total, k1, feasible = min_power_total_batch(gamma, s, 1.0, 0.1)
+        assert feasible[0] and k1[0] == 2
+        # Exact rational arithmetic on the same ranked inputs, first two sensors active.
+        g = [Fraction(3), Fraction(1e20)]
+        u = [1 / Fraction(math.sqrt(eta)) for eta in s[0, :2] / (1 + 1 / gamma[0, :2])]
+        rho = (g[0] * u[0] + g[1] * u[1]) / (g[0] + g[1] - 10)
+        assert u[1] < rho <= 1 / Fraction(math.sqrt(5 * 0.5 / 6))
+        exact = sum(gk * uk * (rho - uk) for gk, uk in zip(g, u))
+        assert total[0] == pytest.approx(float(exact), rel=1e-12)

@@ -324,4 +324,4 @@ class TestNearTies:
         )
         summary = ff.average_min_power(model, 20, 1e-3, 2000, seed=3)
         assert summary.trials == 2000 and summary.infeasible == 0
-        assert math.isfinite(summary.mean_optimal_w) and summary.mean_equal_w > 0
+        assert 0 < summary.mean_optimal_w <= summary.mean_equal_w
