@@ -66,15 +66,12 @@ class AllocationDiagnostics:
     ``threshold_constant`` is the budget-determined constant for the
     max-performance problem and the target-determined constant for the
     min-power problem; ``dual_value`` is the corresponding Lagrange
-    multiplier (threshold**-2 resp. threshold**2).  ``slack_multipliers``
-    carries the per-sensor complementarity multipliers when the solver
-    computes them; they exist for KKT certificate tests only.
+    multiplier (threshold**-2 resp. threshold**2).
     """
 
     active_count: int
     threshold_constant: float
     dual_value: float
-    slack_multipliers: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -161,11 +158,11 @@ def _alpha_on_prefix(gamma, s, eta, order, k1: int, threshold) -> np.ndarray:
 
 def _waterfill_row(
     gamma: np.ndarray, s: np.ndarray, eta: np.ndarray, total_power: float
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, float]:
     """Closed-form optimal budgets for one snapshot given as arrays.
 
-    Returns (alpha_prime, active_count, threshold) where ``threshold`` is the
-    constant c such that sensor k is active iff c * sqrt(eta_k) > 1.
+    Returns (alpha_prime, threshold) where ``threshold`` is the constant c
+    such that sensor k is active iff c * sqrt(eta_k) > 1.
     """
     order, gamma_u, eta_u, sqrt_eta, a = _rank_row(gamma, eta)
     b = np.add.accumulate(gamma_u / eta_u) + total_power  # np.cumsum without its call overhead
@@ -173,7 +170,7 @@ def _waterfill_row(
     if k1 == 0:
         raise InternalConsistencyError("sum-power budget is below the closed form's resolution")
     c0 = b[k1 - 1] / a[k1 - 1]
-    return _alpha_on_prefix(gamma, s, eta, order, k1, c0), k1, float(c0)
+    return _alpha_on_prefix(gamma, s, eta, order, k1, c0), float(c0)
 
 
 def max_performance_allocation(
@@ -186,21 +183,11 @@ def max_performance_allocation(
     shut off entirely.
     """
     _check_budget(snapshot, total_power)
-    alpha, _, c0 = _waterfill_row(snapshot.gamma, snapshot.s, snapshot.eta, total_power)
-    dual = c0**-2
-
-    # Complementarity multipliers: zero on the active set, the stationarity
-    # surplus at alpha'=0 elsewhere.  Exposed for certificate tests.
-    with np.errstate(divide="ignore"):
-        x = alpha * snapshot.s
-        slack = dual * (1.0 + snapshot.inv_gamma) - snapshot.s / (snapshot.inv_gamma * x + 1.0) ** 2
-    slack = np.where(alpha > 0, 0.0, np.maximum(slack, 0.0))
-
+    alpha, c0 = _waterfill_row(snapshot.gamma, snapshot.s, snapshot.eta, total_power)
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
         threshold_constant=c0,
-        dual_value=dual,
-        slack_multipliers=tuple(float(m) for m in slack),
+        dual_value=c0**-2,
     )
     return Allocation(tuple(alpha)), diagnostics
 
@@ -233,7 +220,7 @@ def max_performance_with_caps(
         idx = np.flatnonzero(free)
         if idx.size == 0 or budget <= budget_dust or not (eta[idx] > 0).any():
             break
-        sub_alpha, _, c0 = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
+        sub_alpha, c0 = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
         violated = sub_alpha >= limits[idx]
         if not violated.any():
             alpha[idx] = sub_alpha
@@ -296,13 +283,13 @@ def min_power_allocation(
     return Allocation(tuple(alpha)), diagnostics
 
 
-def l2_min_power_allocation(
-    snapshot: Snapshot,
-    distortion_target: float,
-    *,
-    residual_tol: float = 1e-12,
-    max_doublings: int = 400,
-) -> Allocation:
+#: Relative fused-SNR residual at which the squared-power dual bisection stops.
+_L2_RESIDUAL_TOL = 1e-12
+#: Doublings of the dual multiplier allowed to bracket the squared-power target.
+_L2_MAX_DOUBLINGS = 400
+
+
+def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> Allocation:
     """Budgets minimizing the sum of squared transmit powers at the target.
 
     A fairness compromise: squares penalize outlier sensors, so the power is
@@ -333,7 +320,7 @@ def l2_min_power_allocation(
         return 0.5 * (lo + hi)
 
     lam_hi = 1.0
-    for _ in range(max_doublings):
+    for _ in range(_L2_MAX_DOUBLINGS):
         if float(gamma_u @ fused_fractions(lam_hi)) >= required:
             break
         lam_hi *= 2.0
@@ -341,7 +328,7 @@ def l2_min_power_allocation(
         raise ConvergenceFailure("dual bracket for the squared-power problem did not close")
 
     lam_lo = 0.0
-    tol = residual_tol * max(1.0, required)
+    tol = _L2_RESIDUAL_TOL * max(1.0, required)
     u = fused_fractions(lam_hi)
     for _ in range(400):
         lam_mid = 0.5 * (lam_lo + lam_hi)
@@ -386,20 +373,22 @@ def _project_budget_box(
     return np.clip(x - hi * weights, 0.0, upper)
 
 
+#: Relative objective decrease below which a projected-gradient step counts as small.
+_REF_STEP_TOL = 1e-12
+#: Iteration budget of the projected-gradient reference solver.
+_REF_MAX_ITER = 50_000
+
+
 def numeric_reference_allocation(
-    snapshot: Snapshot,
-    total_power: float,
-    caps: Optional[CapVector] = None,
-    *,
-    step_tol: float = 1e-12,
-    max_iter: int = 50_000,
+    snapshot: Snapshot, total_power: float, caps: Optional[CapVector] = None
 ) -> Allocation:
     """Sum-power (optionally capped) optimum via projected gradient descent.
 
     Independent of the closed forms: spectral (Barzilai-Borwein) step sizes
     with Armijo backtracking on the projected path, stopping once the
-    objective decrease stays below ``step_tol`` per step.  Used only as a
-    test oracle; prefer the closed-form solvers everywhere else.
+    relative objective decrease stays below ``_REF_STEP_TOL`` for five
+    steps.  Used only as a test oracle; prefer the closed-form solvers
+    everywhere else.
     """
     _check_budget(snapshot, total_power)
     s = snapshot.s
@@ -422,7 +411,7 @@ def numeric_reference_allocation(
     step = 1.0 / max(float(np.max(np.abs(grad))), 1e-300)
     small_decreases = 0
 
-    for _ in range(max_iter):
+    for _ in range(_REF_MAX_ITER):
         direction = _project_budget_box(x - step * grad, weights, upper, total_power) - x
         slope = float(grad @ direction)
         if slope >= 0 or float(np.max(np.abs(direction))) < 1e-300:
@@ -442,7 +431,7 @@ def numeric_reference_allocation(
 
         decrease = fx - fnew
         x, fx, grad = x_new, fnew, grad_new
-        small_decreases = small_decreases + 1 if decrease < step_tol * max(1.0, abs(fx)) else 0
+        small_decreases = small_decreases + 1 if decrease < _REF_STEP_TOL * max(1.0, abs(fx)) else 0
         if small_decreases >= 5:
             break
     else:
@@ -563,15 +552,55 @@ def equal_power_mse_batch(
 
     ``total_power`` is one budget or a 1-D array, as in sum_power_mse_batch.
     """
-    k = gamma.shape[1]
     inv_gamma = 1.0 / gamma
-    denom = k * (1.0 + inv_gamma)
+    denom = gamma.shape[1] * (1.0 + inv_gamma)
     budgets = np.atleast_1d(total_power)
     mse = np.empty((budgets.size, gamma.shape[0]))
     for j, budget in enumerate(budgets):
-        ps = budget * s
-        mse[j] = _mse_from_total(np.sum(ps / (inv_gamma * ps + denom), axis=1), sigma_theta_sq)
+        mse[j] = _mse_from_total(_equal_total(s, inv_gamma, denom, budget), sigma_theta_sq)
     return mse[0] if np.ndim(total_power) == 0 else mse
+
+
+def _equal_total(s, inv_gamma, denom, budget) -> np.ndarray:
+    """Fused SNR total per row under the equal split, denom = K (1 + 1/gamma).
+
+    ``budget`` is one total budget for every row or a (rows, 1) column of one per row.
+    """
+    ps = budget * s
+    return np.sum(ps / (inv_gamma * ps + denom), axis=1)
+
+
+def _equal_budget_batch(
+    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, d0: float
+) -> np.ndarray:
+    """Smallest uniform budget meeting the target, per row (rows must be feasible).
+
+    The fused SNR total is strictly increasing in the budget, so a doubling
+    bracket plus bisection converges for every feasible row.
+    """
+    n = gamma.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    required = sigma_theta_sq / d0
+    inv_gamma = 1.0 / gamma
+    denom = gamma.shape[1] * (1.0 + inv_gamma)
+
+    hi = np.ones(n)
+    for _ in range(4000):
+        unmet = _equal_total(s, inv_gamma, denom, hi[:, None]) < required
+        if not unmet.any():
+            break
+        hi[unmet] *= 4.0
+    else:
+        raise ConvergenceFailure("equal-power budget bracket did not close")
+
+    lo = np.zeros(n)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        met = _equal_total(s, inv_gamma, denom, mid[:, None]) >= required
+        hi = np.where(met, mid, hi)
+        lo = np.where(met, lo, mid)
+    return hi
 
 
 def min_power_total_batch(

@@ -24,17 +24,16 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .allocation import (
+    _equal_budget_batch,
     capped_mse_batch,
     equal_power_mse_batch,
     min_power_total_batch,
     sum_power_mse_batch,
 )
 from .channel import NetworkModel, sample_batch
-from .errors import ConvergenceFailure, DivergentMGF, InsufficientData
+from .errors import DivergentMGF, InsufficientData
 from .model import Snapshot, equal_allocation, signal_contributions
 
 #: Trials per work unit.  Fixed independently of the worker count so that
@@ -167,10 +166,7 @@ def _certain_outage(model: NetworkModel, curve: Curve) -> bool:
     """An outage curve whose threshold is at or below a deterministic distortion floor."""
     if curve.kind != "outage" or model.observation.kind != "fixed":
         return False
-    sigma_sq = np.asarray(model.observation.sigma_sq, dtype=float)
-    gamma = model.prior.variance_theta / (
-        np.full(curve.k, float(sigma_sq)) if sigma_sq.ndim == 0 else sigma_sq
-    )
+    gamma = model.prior.variance_theta / model.observation.variances(curve.k, np.empty(0))
     floor = model.prior.variance_theta / float(gamma.sum())
     if curve.d0 > floor:
         return False
@@ -332,43 +328,6 @@ def average_min_power(
     return estimate_sweep(model, [curve], trials, seed, workers=workers)[0][0]
 
 
-def _equal_budget_batch(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, d0: float
-) -> np.ndarray:
-    """Smallest uniform budget meeting the target, per row (rows must be feasible).
-
-    The fused SNR total is strictly increasing in the budget, so a doubling
-    bracket plus bisection converges for every feasible row.
-    """
-    n, k = gamma.shape
-    if n == 0:
-        return np.zeros(0)
-    required = sigma_theta_sq / d0
-    inv_gamma = 1.0 / gamma
-    denom = k * (1.0 + inv_gamma)
-
-    def total_r(p: np.ndarray) -> np.ndarray:
-        ps = p[:, None] * s
-        return np.sum(ps / (inv_gamma * ps + denom), axis=1)
-
-    hi = np.ones(n)
-    for _ in range(4000):
-        unmet = total_r(hi) < required
-        if not unmet.any():
-            break
-        hi[unmet] *= 4.0
-    else:
-        raise ConvergenceFailure("equal-power budget bracket did not close")
-
-    lo = np.zeros(n)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        met = total_r(mid) >= required
-        hi = np.where(met, mid, hi)
-        lo = np.where(met, lo, mid)
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # Distortion floor of the large-network limit
 # ---------------------------------------------------------------------------
@@ -420,6 +379,10 @@ class RateFunctionQuery:
             object.__setattr__(self, "samples", samples)
 
 
+#: Absolute tolerance on the maximizing theta of rate_function_numeric.
+_THETA_TOL = 1e-12
+
+
 def rate_function_exponential(a: float, mean_b: float) -> float:
     """Closed-form rate function of an exponential distribution with mean ``mean_b``."""
     if not (a > 0 and mean_b > 0):
@@ -428,16 +391,17 @@ def rate_function_exponential(a: float, mean_b: float) -> float:
     return ratio - math.log(ratio) - 1.0
 
 
-def rate_function_numeric(
-    query: RateFunctionQuery, *, theta_tol: float = 1e-12, full_output: bool = False
-):
+def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False):
     """Rate function by maximizing theta*a - log M(theta) over the MGF domain.
 
     The maximand is concave, so its derivative is decreasing and the
-    maximizer is located by bracketed root finding to ``theta_tol``.
+    maximizer is located by bracketed root finding to ``_THETA_TOL``.
     Raises DivergentMGF when the supremum runs off to the domain boundary
     (for empirical samples: ``a`` outside the open sample range).
     """
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
+
     a = query.a
     if query.mean_b is not None:
         b = query.mean_b
@@ -500,7 +464,7 @@ def rate_function_numeric(
         else:
             raise DivergentMGF("slope never turned positive; supremum diverges")
 
-    theta_star = brentq(slope, lo, hi, xtol=theta_tol)
+    theta_star = brentq(slope, lo, hi, xtol=_THETA_TOL)
     value = max(theta_star * a - log_mgf(theta_star), 0.0)
     return (value, theta_star) if full_output else value
 

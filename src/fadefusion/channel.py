@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import SensorSite, SignalPrior, Snapshot
 
@@ -193,6 +192,8 @@ class ObservationModel:
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * u
         # lognormal; clamp the uniform away from 0 so ndtri stays finite
+        from scipy.special import ndtri
+
         z = ndtri(np.maximum(u, 2.0**-64))
         return self.median * np.exp(self.log_sigma * z)
 

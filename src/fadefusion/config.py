@@ -280,16 +280,13 @@ def load_config(
         stop = parse_axis(sweep_section["stop"])
     except ValueError as exc:
         raise ConfigError(f"invalid sweep endpoint: {exc}") from exc
-    try:
-        sweep = SweepSpec(
-            axis=axis,
-            start=float(start),
-            stop=float(stop),
-            points=_parse_int("sweep", "points", sweep_section["points"]),
-            spacing=sweep_section["spacing"].strip().lower(),
-        )
-    except ConfigError:
-        raise
+    sweep = SweepSpec(
+        axis=axis,
+        start=float(start),
+        stop=float(stop),
+        points=_parse_int("sweep", "points", sweep_section["points"]),
+        spacing=sweep_section["spacing"].strip().lower(),
+    )
     model = _build_model(parser["model"])
 
     out_section = parser["output"]

@@ -6,6 +6,7 @@ import pytest
 
 import fadefusion as ff
 from fadefusion.allocation import (
+    _equal_budget_batch,
     _prefix_cut,
     capped_mse_batch,
     equal_power_mse_batch,
@@ -394,6 +395,23 @@ class TestBatchKernels:
             np.testing.assert_array_equal(mse_opt[j], one_mse)
             np.testing.assert_array_equal(k1[j], one_k1)
             np.testing.assert_array_equal(mse_eq[j], equal_power_mse_batch(gamma, s, 1.0, p_tot))
+
+    def test_equal_budget_is_the_smallest_that_meets_the_target(self):
+        rng = np.random.default_rng(37)
+        for k in (1, 3, 20):
+            gamma = 10 ** rng.uniform(-0.3, 2.3, (50, k))
+            s = 10 ** rng.uniform(-1.3, 1.3, (50, k))
+            s[:10, 1:] = 0.0  # one live sensor
+            floors = 1.0 / np.where(s > 0, gamma, 0.0).sum(axis=1)
+            for d0 in float(floors.max()) * np.array([1.01, 3.0, 100.0]):
+                budget = _equal_budget_batch(gamma, s, 1.0, d0)
+                for i in range(gamma.shape[0]):
+                    s1 = ff.Snapshot.from_arrays(1.0, gamma[i], s[i])
+                    # The bisection compares fused-SNR totals with 1/d0, so the
+                    # distortion may round a few ulp above d0.
+                    assert ff.equal_power_mse(s1, budget[i]) <= d0 * (1.0 + 1e-15)
+                    assert ff.equal_power_mse(s1, budget[i] * (1.0 - 1e-9)) > d0
+        assert _equal_budget_batch(np.ones((0, 3)), np.ones((0, 3)), 1.0, 0.5).shape == (0,)
 
 
 class TestPrefixCut:

@@ -27,6 +27,16 @@ class TestOutageProbability:
             )
         assert est.probability == 1.0
 
+    def test_sigma_sq_list_of_the_wrong_length_is_rejected_below_its_floor(self):
+        # A 2-entry sigma_sq list at K=3: its 2-sensor floor is 0.005, so d0 = 0.004
+        # must not be read as certain outage.
+        model = dataclasses.replace(
+            default_network(), observation=ff.ObservationModel.fixed((0.01, 0.01))
+        )
+        for d0 in (0.004, 0.02):
+            with pytest.raises(ValueError, match="sigma_sq has 2 entries but K=3"):
+                ff.outage_probability(model, 3, ff.EqualPolicy(), d0, 0.01, 1_000, seed=1)
+
     def test_single_sensor_matches_analytic_form(self):
         model = default_network()
         p_tot, d0, trials = 0.02, 0.02, 100_000

@@ -1,0 +1,42 @@
+"""The import path: scipy loads only where its math runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COLD_START = """
+import sys
+
+import fadefusion.cli
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], f"importing fadefusion.cli loaded {loaded}"
+
+import dataclasses
+import math
+
+import numpy as np
+
+import fadefusion as ff
+
+model = dataclasses.replace(
+    ff.default_network(), observation=ff.ObservationModel.lognormal(0.01, 3.0)
+)
+s, gamma = ff.sample_batch(model, 3, 7, 0, 5)
+assert gamma.shape == (5, 3) and np.isfinite(gamma).all() and (gamma > 0).all()
+value = ff.rate_function_numeric(ff.RateFunctionQuery(a=0.4, mean_b=1.0))
+assert math.isclose(value, ff.rate_function_exponential(0.4, 1.0), rel_tol=1e-9)
+print("ok")
+"""
+
+
+def test_cli_import_loads_no_scipy_and_the_lazy_imports_work_from_cold():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
