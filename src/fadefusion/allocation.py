@@ -12,7 +12,7 @@ binding constraint.
 * ``min_power_allocation`` -- minimize total power under a distortion
   target (closed form; the constraint is tight at the optimum).
 * ``l2_min_power_allocation`` -- minimize the sum of squared transmit
-  powers under the distortion target (numeric dual search).
+  powers under the distortion target (Newton on the dual multiplier).
 
 ``numeric_reference_allocation`` solves the first two problems by
 projected gradient descent and exists purely as an independent correctness
@@ -283,10 +283,27 @@ def min_power_allocation(
     return Allocation(tuple(alpha)), diagnostics
 
 
-#: Relative fused-SNR residual at which the squared-power dual bisection stops.
-_L2_RESIDUAL_TOL = 1e-12
-#: Doublings of the dual multiplier allowed to bracket the squared-power target.
-_L2_MAX_DOUBLINGS = 400
+#: Steps any one monotone Newton iteration may take before it counts as stalled; gamma over
+#: 1e-2..1e4, s over 1e-3..1e6 and targets within 1e-13 of the floor take under 100.
+_NEWTON_MAX_STEPS = 1000
+
+
+def _monotone_newton(x: np.ndarray, newton_step, direction: float, label: str) -> np.ndarray:
+    """Newton iterates that move every entry of x one way only, in ``direction``.
+
+    ``newton_step(x[live], live)`` returns the next iterates of the live
+    entries.  An entry stops, keeping its last value, once its step no
+    longer moves it in ``direction``.
+    """
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        new = newton_step(x[live], live)
+        moves = (new - x[live]) * direction > 0
+        live = live[moves]
+        x[live] = new[moves]
+        if live.size == 0:
+            return x
+    raise ConvergenceFailure(f"{label} Newton iteration did not converge")
 
 
 def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> Allocation:
@@ -294,9 +311,11 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
 
     A fairness compromise: squares penalize outlier sensors, so the power is
     spread more evenly than the plain minimum-sum solution at the cost of a
-    larger total.  Solved by bisection on the dual multiplier; for each
-    multiplier the per-sensor stationarity condition is a monotone scalar
-    equation solved by bisection as well.  Every usable sensor ends up
+    larger total.  With u = r/gamma a sensor's share of its fused-SNR ceiling
+    and v = 1 - u, stationarity at dual multiplier lam is the convex
+    increasing cubic w v^3 + v - 1 = 0, w = lam eta^2 / (2 gamma), solved by
+    Newton from above.  The fused total is concave and increasing in lam, so
+    Newton from lam = 0 rises to the target.  Every usable sensor ends up
     active: the marginal squared-power cost vanishes at zero budget.
     """
     _require_finite_gamma(snapshot)
@@ -304,49 +323,27 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
 
     usable = snapshot.eta > 0
     gamma_u = snapshot.gamma[usable]
-    eta_u = snapshot.eta[usable]
-    s_u = snapshot.s[usable]
+    half_eta_sq = snapshot.eta[usable] ** 2 / 2.0
 
-    def fused_fractions(lam: float) -> np.ndarray:
-        # Solve u/(1-u)^3 = lam * eta^2 / (2 gamma) per sensor; u = r/gamma.
-        w = lam * eta_u**2 / (2.0 * gamma_u)
-        lo = np.zeros_like(w)
-        hi = np.ones_like(w)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            too_low = mid / (1.0 - mid) ** 3 < w
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+    def cubic_root(lam: float) -> np.ndarray:
+        w = lam * half_eta_sq / gamma_u
+        return _monotone_newton(  # w^(-1/3) is at or above the root
+            1.0 / np.maximum(np.cbrt(w), 1.0),
+            lambda v, live: v - (w[live] * v**3 + v - 1.0) / (3.0 * w[live] * v**2 + 1.0),
+            -1.0,
+            "squared-power stationarity",
+        )
 
-    lam_hi = 1.0
-    for _ in range(_L2_MAX_DOUBLINGS):
-        if float(gamma_u @ fused_fractions(lam_hi)) >= required:
-            break
-        lam_hi *= 2.0
-    else:
-        raise ConvergenceFailure("dual bracket for the squared-power problem did not close")
+    # u = w v^3 at the root, so the fused total sum(gamma u) = lam sum(eta^2 v^3 / 2) and the
+    # budgets gamma u / (s v) = lam eta^2 v^2 / (2 s) take no difference of 1 and v.
+    def dual_step(lam: np.ndarray, _) -> np.ndarray:
+        v = cubic_root(float(lam[0]))
+        slope = half_eta_sq @ (v**4 / (3.0 - 2.0 * v))  # du/dw = v^4 / (3 - 2v)
+        return lam + (required - lam * (half_eta_sq @ v**3)) / slope
 
-    lam_lo = 0.0
-    tol = _L2_RESIDUAL_TOL * max(1.0, required)
-    u = fused_fractions(lam_hi)
-    for _ in range(400):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if lam_mid == lam_lo or lam_mid == lam_hi:
-            break
-        u = fused_fractions(lam_mid)
-        residual = float(gamma_u @ u) - required
-        if abs(residual) <= tol:
-            break
-        if residual < 0:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-    else:
-        raise ConvergenceFailure("dual bisection for the squared-power problem stalled")
-
+    lam = float(_monotone_newton(np.zeros(1), dual_step, 1.0, "squared-power dual")[0])
     alpha = np.zeros(snapshot.k)
-    alpha[usable] = gamma_u * u / (s_u * (1.0 - u))
+    alpha[usable] = lam * half_eta_sq * cubic_root(lam) ** 2 / snapshot.s[usable]
     return Allocation(tuple(alpha))
 
 
@@ -573,34 +570,25 @@ def _equal_total(s, inv_gamma, denom, budget) -> np.ndarray:
 def _equal_budget_batch(
     gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, d0: float
 ) -> np.ndarray:
-    """Smallest uniform budget meeting the target, per row (rows must be feasible).
+    """Smallest uniform budget meeting the target per row; +inf at or below the row's floor.
 
-    The fused SNR total is strictly increasing in the budget, so a doubling
-    bracket plus bisection converges for every feasible row.
+    The fused SNR total f(P) is increasing and concave with f(0) = 0, so
+    Newton steps from P = 0 stay below the root and rise to it.
     """
-    n = gamma.shape[0]
-    if n == 0:
-        return np.zeros(0)
     required = sigma_theta_sq / d0
-    inv_gamma = 1.0 / gamma
+    feasible = np.where(s > 0, gamma, 0.0).sum(axis=1) > required
+    s = s[feasible]
+    inv_gamma = 1.0 / gamma[feasible]
     denom = gamma.shape[1] * (1.0 + inv_gamma)
 
-    hi = np.ones(n)
-    for _ in range(4000):
-        unmet = _equal_total(s, inv_gamma, denom, hi[:, None]) < required
-        if not unmet.any():
-            break
-        hi[unmet] *= 4.0
-    else:
-        raise ConvergenceFailure("equal-power budget bracket did not close")
+    def newton_step(budget: np.ndarray, live: np.ndarray) -> np.ndarray:
+        s_l, inv_gamma_l, denom_l, column = s[live], inv_gamma[live], denom[live], budget[:, None]
+        slope = np.sum(s_l * denom_l / (inv_gamma_l * (column * s_l) + denom_l) ** 2, axis=1)
+        return budget + (required - _equal_total(s_l, inv_gamma_l, denom_l, column)) / slope
 
-    lo = np.zeros(n)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        met = _equal_total(s, inv_gamma, denom, mid[:, None]) >= required
-        hi = np.where(met, mid, hi)
-        lo = np.where(met, lo, mid)
-    return hi
+    budget = np.full(gamma.shape[0], np.inf)
+    budget[feasible] = _monotone_newton(np.zeros(s.shape[0]), newton_step, 1.0, "equal-power budget")
+    return budget
 
 
 def min_power_total_batch(

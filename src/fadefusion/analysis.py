@@ -21,7 +21,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,14 +51,10 @@ CHUNK_TRIALS = 1 << 16
 class EqualPolicy:
     """Every sensor transmits the same power."""
 
-    label: ClassVar[str] = "equal"
-
 
 @dataclass(frozen=True)
 class OptimalPolicy:
     """Distortion-minimizing allocation under the sum power budget."""
-
-    label: ClassVar[str] = "optimal"
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class CappedPolicy:
     """
 
     cap_scale: float = 1.5
-    label: ClassVar[str] = "capped"
 
     def __post_init__(self):
         if not self.cap_scale > 0:

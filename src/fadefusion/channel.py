@@ -281,7 +281,8 @@ def sample_channel_snr(
     """
     if sensor_index < 0:
         raise ValueError("sensor_index must be >= 0")
-    mean = float(propagation.mean_channel_snr(sensor_index + 1)[sensor_index])
+    k = max(sensor_index + 1, np.size(propagation.distance_m))  # a per-sensor tuple fixes K
+    mean = float(propagation.mean_channel_snr(k)[sensor_index])
     if fading.kind == "none":
         return mean * fading.mean_square
     u = _uniform_block(rng.seed, rng.trial, 1, sensor_index + 1)[0, sensor_index]
@@ -309,9 +310,7 @@ def mean_merit(model: NetworkModel, k: int = 1) -> float:
     """
     mean_s = model.propagation.mean_channel_snr(k) * model.fading.mean_square
     if model.observation.kind == "fixed":
-        sigma_sq = np.asarray(model.observation.sigma_sq, dtype=float)
-        if sigma_sq.ndim == 0:
-            sigma_sq = np.full(k, float(sigma_sq))
+        sigma_sq = model.observation.variances(k, np.empty(0))
         factor = 1.0 / (1.0 + sigma_sq / model.prior.variance_theta)
     else:
         factor = _mean_obs_factor(model.observation, model.prior.variance_theta)

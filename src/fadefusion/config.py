@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -296,9 +295,6 @@ def load_config(
         workers = _parse_int("output", "workers", out_section["workers"])
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-
-    if math.isinf(model.prior.variance_theta):
-        raise ConfigError("sigma_theta_sq must be finite")
 
     return ExperimentConfig(
         scenario=scenario,

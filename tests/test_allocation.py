@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fadefusion as ff
+from fadefusion import allocation
 from fadefusion.allocation import (
     _equal_budget_batch,
     _prefix_cut,
@@ -407,11 +408,20 @@ class TestBatchKernels:
                 budget = _equal_budget_batch(gamma, s, 1.0, d0)
                 for i in range(gamma.shape[0]):
                     s1 = ff.Snapshot.from_arrays(1.0, gamma[i], s[i])
-                    # The bisection compares fused-SNR totals with 1/d0, so the
-                    # distortion may round a few ulp above d0.
+                    # The Newton iteration stops on fused-SNR totals against 1/d0,
+                    # so the distortion may round a few ulp above d0.
                     assert ff.equal_power_mse(s1, budget[i]) <= d0 * (1.0 + 1e-15)
                     assert ff.equal_power_mse(s1, budget[i] * (1.0 - 1e-9)) > d0
         assert _equal_budget_batch(np.ones((0, 3)), np.ones((0, 3)), 1.0, 0.5).shape == (0,)
+
+    def test_every_newton_loop_raises_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_NEWTON_MAX_STEPS", 3)
+        with pytest.raises(ff.ConvergenceFailure, match="equal-power budget"):
+            _equal_budget_batch(np.array([[100.0, 100.0]]), np.array([[1e3, 1.0]]), 1.0, 0.006)
+        with pytest.raises(ff.ConvergenceFailure, match="squared-power stationarity"):
+            ff.l2_min_power_allocation(snap([100.0, 100.0], [1e3, 1.0]), 0.006)
+        with pytest.raises(ff.ConvergenceFailure, match="squared-power dual"):
+            ff.l2_min_power_allocation(snap([100.0], [1.0]), 10.0)
 
 
 class TestPrefixCut:

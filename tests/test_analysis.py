@@ -126,6 +126,16 @@ class TestDInfinity:
         avg = ff.average_distortion(model, 10_000, ff.EqualPolicy(), p_tot, 100, seed=9)
         assert avg.mean == pytest.approx(ff.d_infinity(model, p_tot), rel=0.02)
 
+    def test_sigma_sq_list_must_match_k(self):
+        model = dataclasses.replace(
+            default_network(), observation=ff.ObservationModel.fixed((0.01, 1.0))
+        )
+        for k in (1, 3):
+            with pytest.raises(ValueError, match=f"sigma_sq has 2 entries but K={k}"):
+                ff.d_infinity(model, 0.01, k=k)
+        mean_merit = 1e5 * (1.0 / 1.01 + 1.0 / 2.0) / 2.0
+        assert ff.d_infinity(model, 0.01, k=2) == pytest.approx(1.0 / (0.01 * mean_merit), rel=1e-15)
+
 
 class TestRateFunctions:
     def test_zero_at_the_mean(self):

@@ -198,3 +198,9 @@ class TestModelValidation:
         assert prop.mean_channel_snr(2) == pytest.approx([1.0, 0.25])
         with pytest.raises(ValueError):
             prop.mean_channel_snr(3)
+        three = ff.PropagationModel(distance_m=(50.0, 100.0, 200.0))
+        still = ff.FadingModel(kind="none")
+        snrs = [ff.sample_channel_snr(three, still, i, ff.RngStream(0, 0)) for i in range(3)]
+        assert snrs == pytest.approx(three.mean_channel_snr(3), rel=1e-15)
+        with pytest.raises(ValueError, match="distance_m has 3 entries but K=4"):
+            ff.sample_channel_snr(three, still, 3, ff.RngStream(0, 0))

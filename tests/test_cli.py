@@ -126,9 +126,11 @@ class TestRun:
         )
         assert len(out.read_text().splitlines()) == 6 + 2
 
-    def test_bad_set_key_exits_2(self, tmp_path):
+    def test_bad_set_key_exits_2(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "e.ini", BASE_CONFIG.format(out=tmp_path / "o.csv"))
         assert main(["run", "--config", cfg_path, "--set", "experiment.nope=1"]) == 2
+        assert main(["run", "--config", cfg_path, "--set", "model.sigma_theta_sq=inf"]) == 2
+        assert "invalid [model] section" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2

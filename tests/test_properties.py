@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fadefusion as ff
 from fadefusion.allocation import (
+    _equal_budget_batch,
     capped_mse_batch,
     equal_power_mse_batch,
     min_power_total_batch,
@@ -114,3 +115,29 @@ def test_min_power_kernel_is_exact_up_to_huge_gammas(snapshot, share):
     assert feasible[0]
     exact = exact_min_power_total(snapshot, 1.0 / (1.0 / required))
     assert total[0] == pytest.approx(exact, rel=1e-12)  # this kernel sums no cancelling terms
+
+
+def live_gamma_sum(snapshot):
+    return float(np.sum(snapshot.gamma[snapshot.s > 0]))
+
+
+@given(snapshots(), st.one_of(st.floats(0.001, 0.999), st.floats(1.0, 10.0)))
+@example(ff.Snapshot.from_arrays(1.0, [0.757], [1e5]), 2.0 / 0.757)  # d0 0.5, floor 1.32
+def test_equal_budget_kernel_meets_the_target_and_no_less_does(snapshot, share):
+    d0 = 1.0 / (share * live_gamma_sum(snapshot))
+    budget = _equal_budget_batch(*row_arrays(snapshot), 1.0, d0)[0]
+    if share >= 1.0:  # d0 at or below the floor; within rounding of it either side is right
+        assert budget == math.inf or share < 1.0 + 1e-12
+        return
+    assert ff.equal_power_mse(snapshot, budget) <= d0 * (1 + 1e-15)
+    assert ff.equal_power_mse(snapshot, budget * (1 - 1e-9)) > d0
+
+
+@given(snapshots(), st.floats(0.001, 0.999))
+def test_l2_allocation_meets_the_target_with_no_more_squared_power(snapshot, share):
+    d0 = 1.0 / (share * live_gamma_sum(snapshot))
+    l2 = ff.l2_min_power_allocation(snapshot, d0)
+    assert ff.blue_mse(snapshot, l2) == pytest.approx(d0, rel=1e-12)
+    cheapest, _ = ff.min_power_allocation(snapshot, d0)
+    squares = [float(np.sum(a.transmit_powers(snapshot) ** 2)) for a in (l2, cheapest)]
+    assert squares[0] <= squares[1] * (1 + 1e-12)
