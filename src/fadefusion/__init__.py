@@ -43,7 +43,6 @@ from .channel import (
     default_network,
     mean_merit,
     sample_batch,
-    sample_channel_snr,
     sample_snapshot,
 )
 from .errors import (

@@ -19,9 +19,10 @@ projected gradient descent and exists purely as an independent correctness
 oracle for tests.
 
 Each closed-form problem has one row path, the public solver, and one batch
-path for Monte Carlo chunks (the ``*_batch`` kernels), and every threshold
-scan cuts through ``_prefix_cut``.  The row solvers stay separate from the
-batch kernels because they are the kernels' independent test reference.
+path for Monte Carlo chunks (the ``*_batch`` kernels), and every scan over
+the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
+separate from the batch kernels because they are the kernels' independent
+test reference.
 
 All solvers require finite observation SNRs: a noiseless sensor has
 constant (non-diminishing) marginal returns, so the threshold structure
@@ -201,8 +202,8 @@ def max_performance_with_caps(
     clipped sensors and their power from the problem, repeat.  Terminates in
     at most K passes since each pass removes at least one sensor.  If the
     caps together cannot absorb the budget, everything ends up clipped and
-    the sum constraint is left slack at sum(caps).  ``capped_mse_batch`` is
-    the masked batch form of this loop and is tested against it.
+    the sum constraint is left slack at sum(caps).  ``capped_mse_batch`` solves
+    the same problem by one breakpoint scan and is tested against this loop.
     """
     _check_budget(snapshot, total_power)
     k = snapshot.k
@@ -447,8 +448,7 @@ def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     order = np.argsort(-eta, axis=1, kind="stable")
     eta_r = np.take_along_axis(eta, order, axis=1)
     gamma_r = np.take_along_axis(gamma, order, axis=1)
-    usable = eta_r > 0
-    return eta_r, gamma_r, usable, order
+    return eta_r, gamma_r, eta_r > 0
 
 
 def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
@@ -500,12 +500,11 @@ def _waterfill_prefix(eta_r, gamma_r, usable):
 
 
 def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
-    """Optimal distortion, cutoff index and threshold constant per row.
+    """Optimal distortion and cutoff index per row, one budget for every row.
 
-    ``total_power`` is one budget for every row or an array of one per row.
-    Rows with no usable sensor get mse = +inf, k1 = 0 and c0 = nan.
+    Rows with no usable sensor get mse = +inf and k1 = 0.
     """
-    margin = w + np.asarray(total_power)[..., None]  # becomes sqrt(eta) * b / a - 1, b = w + P
+    margin = w + total_power  # becomes sqrt(eta) * b / a - 1, b = w + P
     margin *= sqrt_eta
     with np.errstate(divide="ignore", invalid="ignore"):
         margin /= a
@@ -515,7 +514,7 @@ def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
     a_cut = a.take(at_cut)
     c0 = np.where(k1 > 0, (w.take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0), np.nan)
     total = np.where(k1 > 0, prefix_gamma.take(at_cut) - a_cut / c0, 0.0)
-    return _mse_from_total(total, sigma_theta_sq), k1, c0
+    return _mse_from_total(total, sigma_theta_sq), k1
 
 
 def _mse_from_total(total: np.ndarray, sigma_theta_sq: float) -> np.ndarray:
@@ -533,12 +532,12 @@ def sum_power_mse_batch(
     (budgets, trials) for an array; rows with no usable sensor get
     mse = +inf and active_count = 0, matching the outage convention.
     """
-    prefix = _waterfill_prefix(*_rank_batch(gamma, s)[:3])  # ranked arrays freed here
+    prefix = _waterfill_prefix(*_rank_batch(gamma, s))  # ranked arrays freed here
     budgets = np.atleast_1d(total_power)
     mse = np.empty((budgets.size, gamma.shape[0]))
     active = np.empty(mse.shape, dtype=np.intp)
     for j, budget in enumerate(budgets):
-        mse[j], active[j], _ = _waterfill_mse(*prefix, budget, sigma_theta_sq)
+        mse[j], active[j] = _waterfill_mse(*prefix, budget, sigma_theta_sq)
     return (mse[0], active[0]) if np.ndim(total_power) == 0 else (mse, active)
 
 
@@ -600,12 +599,16 @@ def min_power_total_batch(
     or below the row's floor) carry total_power = +inf.
     """
     required = sigma_theta_sq / distortion_target
-    eta_r, gamma_r, usable, _ = _rank_batch(gamma, s)
+    eta_r, gamma_r, usable = _rank_batch(gamma, s)
     g = np.where(usable, gamma_r, 0.0)
-    feasible = g.sum(axis=1) > required
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(usable, 1.0 / np.sqrt(eta_r), 0.0)
         margin, du, lead, prefix_gamma = _min_power_scan(u, g, required)
+    # The divisor below needs the merit-ordered total above the requirement, and the equal-split
+    # budget of the same row needs the sensor-ordered sum there; within rounding of the floor
+    # they can disagree, so a row is feasible only when both are.
+    live_total = np.where(s > 0, gamma, 0.0).sum(axis=1)
+    feasible = (prefix_gamma[:, -1] > required) & (live_total > required)
     k1 = _prefix_cut(np.where(usable & feasible[:, None], margin, -1.0), "min-power")
     d = prefix_gamma[np.arange(g.shape[0]), np.maximum(k1 - 1, 0)] - required
     if (feasible & ~(d > 0)).any():
@@ -620,61 +623,70 @@ def min_power_total_batch(
     return total, np.where(feasible, k1, 0), feasible
 
 
+def _spend_breakpoints(eta, sqrt_eta, gamma, cap_power):
+    """Sorted spend breakpoints of each row and running sums through each of them.
+
+    Sensor k turns on at 1/sqrt(eta) and reaches its cap cap_power sqrt(eta)/gamma later
+    (+inf for a dead sensor or an unbounded cap).  Returns the sorted breakpoints and, up to
+    and including each, the sums of B's slope and offset and of the capped power; B(c) =
+    slope * c - offset + capped on the segment after it.  The capped power keeps its own
+    sum: added to the offset it would round to the ulp of gamma/eta.  The sort order and
+    the unsorted breakpoints die with this call, before the scan allocates.
+    """
+    k = gamma.shape[1]
+    rise, fall = gamma / sqrt_eta, gamma / eta  # an on, uncapped sensor spends rise * c - fall
+    breaks = np.concatenate([1.0 / sqrt_eta, 1.0 / sqrt_eta + cap_power / rise], axis=1)
+    order = np.argsort(breaks, axis=1, kind="stable")
+    breaks = np.take_along_axis(breaks, order, axis=1)
+    sums = [np.take_along_axis(np.concatenate([step, -step], axis=1), order, axis=1)
+            for step in (rise, fall)]
+    sums.append(np.where(order >= k, cap_power, 0.0))
+    for steps in sums:
+        np.cumsum(steps, axis=1, out=steps)
+    return breaks, *sums
+
+
 def capped_mse_batch(
     gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float, cap_power: float
 ) -> np.ndarray:
     """Capped-allocation distortion for a (trials, K) batch, one transmit cap for all sensors.
 
-    The masked batch form of the clipping loop in max_performance_with_caps.
-    Each pass re-waterfills the unfinished rows with their clipped sensors at
-    zero merit, clips every violator to its cap and takes cap_power per
-    clipped sensor off that row's budget.  A row finishes when a pass clips
-    nothing or its budget is spent.  Rows that clip nothing in the first pass
-    keep its closed-form distortion; clipped rows sum the per-sensor
-    contributions.  +inf marks rows with no usable sensor.
+    Peak-constrained waterfilling (Palomar & Fonollosa, IEEE Trans. Signal
+    Process. 53(2), 2005): at threshold c sensor k spends
+    clip((gamma/eta)(c sqrt(eta) - 1), 0, cap), so a row's spend B(c) is
+    piecewise linear and non-decreasing, with a breakpoint where each sensor
+    turns on and where it reaches its cap.  One sort of the 2K breakpoints
+    and running sums of B's slope, offset and capped power find the first
+    segment whose end reaches total_power, or that is open (ends at +inf),
+    and c solves B(c) = total_power on it.  An open segment with a finite
+    cap has every live sensor at its cap: the caps cannot absorb the budget.
+    The distortion sums each sensor's x/(x/gamma + 1), x = alpha' s.  +inf
+    marks rows with no usable sensor; cap_power may be +inf.
+    max_performance_with_caps, which clips iteratively, is its test reference.
     """
-    n, k = gamma.shape
-    limits = cap_power / (1.0 + 1.0 / gamma)
-    alpha = np.zeros((n, k))
-    free = np.ones((n, k), dtype=bool)
-    budget = np.full(n, float(total_power))
-    budget_dust = total_power * 1e-14  # clipping can leave rounding residue
-    rows = np.arange(n)
-    for step in range(k + 1):
-        s_free = np.where(free[rows], s[rows], 0.0)
-        eta_r, gamma_r, usable, order = _rank_batch(gamma[rows], s_free)
-        sqrt_eta, *sums = _waterfill_prefix(eta_r, gamma_r, usable)
-        pass_mse, k1, c0 = _waterfill_mse(sqrt_eta, *sums, budget[rows], sigma_theta_sq)
-        s_r = np.take_along_axis(s_free, order, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha_r = gamma_r / s_r * np.maximum(c0[:, None] * sqrt_eta - 1.0, 0.0)
-        alpha_r[np.arange(k) >= k1[:, None]] = 0.0
-        violated_r = alpha_r >= cap_power / (1.0 + 1.0 / gamma_r)
-        clips = violated_r.any(axis=1)
-        if step == 0:
-            mse = pass_mse
-        else:
-            done = ~clips
-            finished = np.zeros((int(done.sum()), k))
-            np.put_along_axis(finished, order[done], alpha_r[done], axis=1)
-            alpha[rows[done]] += finished  # clipped sensors hold their caps, the rest 0
-
-        rows, order, violated_r = rows[clips], order[clips], violated_r[clips]
-        violated = np.zeros((rows.size, k), dtype=bool)
-        np.put_along_axis(violated, order, violated_r, axis=1)
-        alpha[rows] = np.where(violated, limits[rows], alpha[rows])
-        free[rows] &= ~violated
-        budget[rows] = np.maximum(budget[rows] - cap_power * violated_r.sum(axis=1), 0.0)
-        rows = rows[budget[rows] > budget_dust]
-        if rows.size == 0:
-            break
-    else:
-        raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
-
-    hit = np.flatnonzero(~free.all(axis=1))
-    x = alpha[hit] * s[hit]
-    mse[hit] = _mse_from_total(np.sum(x / (x / gamma[hit] + 1.0), axis=1), sigma_theta_sq)
-    return mse
+    eta = s / (1.0 + 1.0 / gamma)
+    sqrt_eta = np.sqrt(eta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a dead sensor's breakpoints sit at +inf
+        breaks, slope, offset, capped = _spend_breakpoints(eta, sqrt_eta, gamma, cap_power)
+        ends = breaks[:, 1:]  # the end of the segment after each breakpoint but the last
+        spend = slope[:, :-1] * ends
+        spend -= offset[:, :-1]
+        spend += capped[:, :-1]
+        # At a +inf end the spend is +inf if the open segment rises and NaN or -inf if it is
+        # flat; either way c lands on the open segment after the last finite breakpoint.
+        stop = spend >= total_power
+        last = ends.shape[1]
+        j = np.where(stop.any(axis=1), stop.argmax(axis=1), last)
+        rows = np.arange(gamma.shape[0])
+        end = np.where(j < last, breaks[rows, np.minimum(j + 1, last)], np.inf)
+        c = (total_power + offset[rows, j] - capped[rows, j]) / slope[rows, j]
+        # Clamp to the segment, dropping NaN: a flat segment (every on sensor capped) gives 0/0.
+        c = np.fmin(np.fmax(c, breaks[rows, j]), end)
+        if math.isfinite(cap_power):  # an open segment's slope is rounding left after the last cap
+            c[np.isinf(end)] = np.inf
+        x = np.fmin(gamma * np.maximum(c[:, None] * sqrt_eta - 1.0, 0.0), cap_power * eta)
+        total = np.sum(x / (x / gamma + 1.0), axis=1)
+    return _mse_from_total(total, sigma_theta_sq)
 
 
 def optimality_certificate(

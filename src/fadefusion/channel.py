@@ -268,27 +268,6 @@ def sample_snapshot(model: NetworkModel, k: int, rng: RngStream) -> Snapshot:
     )
 
 
-def sample_channel_snr(
-    propagation: PropagationModel,
-    fading: FadingModel,
-    sensor_index: int,
-    rng: RngStream,
-) -> float:
-    """One sensor's random channel SNR from its own slice of the trial stream.
-
-    Consumes the first ``sensor_index + 1`` fading draws of the trial and
-    uses the last, so successive sensor indices see independent fades.
-    """
-    if sensor_index < 0:
-        raise ValueError("sensor_index must be >= 0")
-    k = max(sensor_index + 1, np.size(propagation.distance_m))  # a per-sensor tuple fixes K
-    mean = float(propagation.mean_channel_snr(k)[sensor_index])
-    if fading.kind == "none":
-        return mean * fading.mean_square
-    u = _uniform_block(rng.seed, rng.trial, 1, sensor_index + 1)[0, sensor_index]
-    return mean * float(fading.power_from_uniform(np.array(u)))
-
-
 _MEAN_ETA_SAMPLES = 1_000_000
 _MEAN_ETA_SEED = 0x6D65616E  # fixed internal seed so the estimate is reproducible
 
@@ -326,6 +305,5 @@ __all__ = [
     "default_network",
     "sample_batch",
     "sample_snapshot",
-    "sample_channel_snr",
     "mean_merit",
 ]

@@ -372,6 +372,27 @@ class TestBatchKernels:
                 assert total_min[i] == pytest.approx(mp.total_power(s1), rel=1e-12)
                 assert k1_min[i] == mp_diag.active_count
 
+    def test_caps_that_spend_exactly_the_budget_run_at_their_caps(self):
+        # Two live caps of P/2: the spend reaches P only at the last cap breakpoint, where
+        # rounding can leave it short.  The scan then ends on the open segment before the
+        # dead sensor's breakpoints at +inf, and every live sensor must sit exactly at its cap.
+        gamma = np.array([[100.0, 100.0, 100.0]])
+        s = np.array([[0.0, 3742.33867768937, 78145.29984977255]])
+        cap = 1.5 * 1e-2 / 3
+        x = cap * s / (1.0 + 1.0 / gamma)
+        assert capped_mse_batch(gamma, s, 1.0, 1e-2, cap)[0] == 1.0 / np.sum(x / (x / gamma + 1.0))
+
+    def test_unbounded_caps_give_the_uncapped_optimum(self):
+        # Every cap breakpoint sits at +inf, so the scan solves on the open segment after the
+        # last sensor turns on.  Rows: all sensors on, a dead sensor, a dead row.
+        gamma = np.array([[1.0, 1.0], [2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
+        s = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 4.0], [0.0, 0.0]])
+        for budget in (1e-3, 1.0, 1e3):
+            capped = capped_mse_batch(gamma, s, 1.0, budget, math.inf)
+            optimal = sum_power_mse_batch(gamma, s, 1.0, budget)[0]
+            assert capped[:3] == pytest.approx(optimal[:3], rel=1e-12)
+            assert math.isinf(capped[3]) and math.isinf(optimal[3])
+
     def test_batch_handles_dead_rows(self):
         gamma = np.array([[2.0, 3.0], [2.0, 3.0]])
         s = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -413,6 +434,24 @@ class TestBatchKernels:
                     assert ff.equal_power_mse(s1, budget[i]) <= d0 * (1.0 + 1e-15)
                     assert ff.equal_power_mse(s1, budget[i] * (1.0 - 1e-9)) > d0
         assert _equal_budget_batch(np.ones((0, 3)), np.ones((0, 3)), 1.0, 0.5).shape == (0,)
+
+    def test_min_power_rows_at_the_floor_get_equal_budgets(self):
+        # d0 within one ulp of 1/sum(live gamma), with the kernels called as the min-power sweep
+        # calls them.  The two sum the live gammas in different orders, so the min-power kernel
+        # must neither raise nor accept a row whose equal-split budget is infinite.
+        rng = np.random.default_rng(0)
+        gamma = 10 ** rng.uniform(-1.5, 3.75, (1000, 8))
+        s = np.where(rng.random((1000, 8)) < 0.5, 0.0, 10 ** rng.uniform(-1.0, 1.0, (1000, 8)))
+        s[:, 0] = 1.0
+        floors = 1.0 / np.where(s > 0, gamma, 0.0).sum(axis=1)
+        accepted = 0
+        for i, floor in enumerate(floors):
+            for d0 in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)):
+                _, _, feasible = min_power_total_batch(gamma[i : i + 1], s[i : i + 1], 1.0, d0)
+                rows = np.flatnonzero(feasible) + i
+                assert np.isfinite(_equal_budget_batch(gamma[rows], s[rows], 1.0, d0)).all()
+                accepted += int(feasible[0])
+        assert accepted > 500  # most rows one ulp above their floor are feasible
 
     def test_every_newton_loop_raises_at_its_cap(self, monkeypatch):
         monkeypatch.setattr(allocation, "_NEWTON_MAX_STEPS", 3)

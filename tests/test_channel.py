@@ -21,6 +21,16 @@ def unit_gamma_model(mean_s=2.0):
     )
 
 
+def still_network(propagation):
+    """A network without fading, so every channel SNR is its mean."""
+    return ff.NetworkModel(
+        prior=ff.SignalPrior(1.0),
+        propagation=propagation,
+        fading=ff.FadingModel(kind="none"),
+        observation=ff.ObservationModel.fixed(0.01),
+    )
+
+
 class TestUnits:
     def test_gain_parsing(self):
         assert units.parse_gain("-30 dB") == pytest.approx(1e-3, rel=1e-12)
@@ -51,9 +61,8 @@ class TestChannelSnr:
             distance_m=100.0,
             channel_noise_variance=units.parse_power("-90 dBm"),
         )
-        still = ff.FadingModel(kind="none")
-        value = ff.sample_channel_snr(prop, still, 0, ff.RngStream(0, 0))
-        assert value == pytest.approx(1e5, rel=1e-12)
+        snapshot = ff.sample_snapshot(still_network(prop), 1, ff.RngStream(0, 0))
+        assert snapshot.s[0] == pytest.approx(1e5, rel=1e-12)
 
     def test_deep_fade_maps_to_zero(self):
         fading = ff.FadingModel(kind="rayleigh")
@@ -66,11 +75,8 @@ class TestChannelSnr:
         assert abs(s.mean() - 1e5) <= 3 * 1e5 / math.sqrt(1_000_000)
 
     def test_sensor_indices_see_distinct_fades(self):
-        prop = ff.PropagationModel(nominal_gain=1.0, distance_m=1.0, channel_noise_variance=1.0)
-        fading = ff.FadingModel(kind="rayleigh")
-        rng = ff.RngStream(5, 3)
-        values = {ff.sample_channel_snr(prop, fading, i, rng) for i in range(6)}
-        assert len(values) == 6
+        snapshot = ff.sample_snapshot(unit_gamma_model(), 6, ff.RngStream(5, 3))
+        assert len(set(snapshot.s)) == 6
 
 
 class TestSnapshotSampling:
@@ -199,8 +205,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             prop.mean_channel_snr(3)
         three = ff.PropagationModel(distance_m=(50.0, 100.0, 200.0))
-        still = ff.FadingModel(kind="none")
-        snrs = [ff.sample_channel_snr(three, still, i, ff.RngStream(0, 0)) for i in range(3)]
-        assert snrs == pytest.approx(three.mean_channel_snr(3), rel=1e-15)
+        s, _ = ff.sample_batch(still_network(three), 3, seed=0, start_trial=0, n_trials=1)
+        assert s[0] == pytest.approx(three.mean_channel_snr(3), rel=1e-15)
         with pytest.raises(ValueError, match="distance_m has 3 entries but K=4"):
-            ff.sample_channel_snr(three, still, 3, ff.RngStream(0, 0))
+            ff.sample_batch(still_network(three), 4, seed=0, start_trial=0, n_trials=1)

@@ -254,6 +254,11 @@ class TestAlloc:
         err = capsys.readouterr().err
         assert "feasibility_floor=0.01" in err
 
+    def test_budget_below_resolution_exits_4(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n10 1\n5 0.5\n")
+        assert main(["alloc", path, "--budget", "1e-20"]) == 4
+        assert "internal consistency failure" in capsys.readouterr().err
+
     def test_l2_variant(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", SNAPSHOT_HET)
         assert main(["alloc", path, "--target", "0.05", "--l2"]) == 0

@@ -33,7 +33,8 @@ def snapshots(draw, max_gamma_db=40):
 
 
 budgets = log_uniform(-3, 3)
-cap_scales = st.floats(1.0, 4.0)
+# Exact ties and unbounded caps too.
+cap_scales = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]), st.floats(1.0, 4.0))
 
 
 def row_arrays(snapshot):
@@ -43,15 +44,40 @@ def row_arrays(snapshot):
 # Fixed relative tolerance of every property.  The closed forms evaluate
 # c*sqrt(eta) - 1 and sum(gamma) - a/c, which cancel when a live sensor's
 # received SNR P*s is small next to 1 + gamma (about log10((1 + gamma)/(P*s))
-# of the 16 digits are lost); the pinned examples are such cases and are
+# of the 16 digits are lost); the xfail examples are such cases and are
 # expected to fail until the closed forms are made cancellation-free.
 REL = 1e-9
 CANCELLATION = "closed forms cancel when P*s << 1 + gamma (ROADMAP item 3)"
 
 
 @given(snapshots(), budgets, cap_scales)
-@example(ff.Snapshot.from_arrays(1.0, [100.0], [0.01]), 1e-3, 2.0).xfail(
-    reason=CANCELLATION, raises=AssertionError
+@example(ff.Snapshot.from_arrays(1.0, [100.0], [0.01]), 1e-3, 2.0)  # sum(gamma) - a/c cancels here
+@example(  # flat segment: two capped sensors spend exactly P, so B's slope is 0 there
+    ff.Snapshot.from_arrays(
+        1.0,
+        [1.0271654483744308, 170.71520286367354, 14.786791250787967],
+        [248.6645013234583, 231.14877083203743, 5827.3666201711885],
+    ),
+    1e-2,
+    1.5,
+)
+@example(  # the caps cannot absorb P: every live sensor at its cap
+    ff.Snapshot.from_arrays(
+        1.0,
+        [69.56722444681833, 1.9938255166221521, 92.179776498321],
+        [0.0, 59178.05945948221, 298.6940312492596],
+    ),
+    1e-2,
+    1.05,
+)
+@example(  # a cap summed into the offset would round to the ulp of the capped sensor's gamma/eta
+    ff.Snapshot.from_arrays(
+        1.0,
+        [0.7674946678863517, 1.0, 47.835129054552525, 1.000000000000023, 9017.628193449871],
+        [0.0, 0.0, 0.0, 0.014010762048336787, 0.03058104672072023],
+    ),
+    0.004288358793007275,
+    3.713443066606137,
 )
 def test_capped_batch_kernel_matches_row_solver(snapshot, p_tot, cap_scale):
     cap = cap_scale * p_tot / snapshot.k
