@@ -58,7 +58,6 @@ from .errors import (
 from .model import (
     NOISELESS,
     Allocation,
-    SensorSite,
     SignalPrior,
     Snapshot,
     blue_mse,
@@ -66,7 +65,6 @@ from .model import (
     distortion_floor,
     equal_allocation,
     equal_power_mse,
-    merit,
     signal_contributions,
     transmit_power,
 )

@@ -44,7 +44,7 @@ from .errors import (
     InternalConsistencyError,
     NoUsableSensor,
 )
-from .model import Allocation, Snapshot, distortion_floor
+from .model import Allocation, Snapshot, _frozen_vector, distortion_floor
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,15 @@ class AllocationDiagnostics:
     dual_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapVector:
-    """Per-sensor maximum transmit powers; ``math.inf`` marks an unbounded sensor."""
+    """Per-sensor maximum transmit powers as a read-only array; ``math.inf`` marks no cap."""
 
-    caps: tuple[float, ...]
+    caps: np.ndarray
 
     def __post_init__(self):
-        caps = tuple(float(c) for c in self.caps)
-        if any(math.isnan(c) or c <= 0 for c in caps):
+        caps = _frozen_vector(self.caps)
+        if not (caps > 0).all():
             raise ValueError("every cap must be > 0 (use math.inf for unbounded)")
         object.__setattr__(self, "caps", caps)
 
@@ -97,9 +97,9 @@ class CapVector:
 
     def alpha_limits(self, snapshot: Snapshot) -> np.ndarray:
         """Budget-space caps C_k = P_k^max / (1 + 1/gamma_k)."""
-        if len(self.caps) != snapshot.k:
+        if self.caps.size != snapshot.k:
             raise ValueError("cap vector length does not match K")
-        return np.array(self.caps) / (1.0 + snapshot.inv_gamma)
+        return self.caps / (1.0 + snapshot.inv_gamma)
 
 
 def rank_sensors(snapshot: Snapshot) -> RankedView:
@@ -190,7 +190,7 @@ def max_performance_allocation(
         threshold_constant=c0,
         dual_value=c0**-2,
     )
-    return Allocation(tuple(alpha)), diagnostics
+    return Allocation(alpha), diagnostics
 
 
 def max_performance_with_caps(
@@ -208,7 +208,6 @@ def max_performance_with_caps(
     _check_budget(snapshot, total_power)
     k = snapshot.k
     limits = caps.alpha_limits(snapshot)
-    cap_power = np.array(caps.caps)
     gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
 
     alpha = np.zeros(k)
@@ -229,7 +228,7 @@ def max_performance_with_caps(
             break
         clipped = idx[violated]
         alpha[clipped] = limits[clipped]
-        budget = max(budget - float(np.sum(cap_power[clipped])), 0.0)
+        budget = max(budget - float(np.sum(caps.caps[clipped])), 0.0)
         free[clipped] = False
     else:
         raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
@@ -239,7 +238,7 @@ def max_performance_with_caps(
         threshold_constant=threshold,
         dual_value=threshold**-2 if math.isfinite(threshold) else math.nan,
     )
-    return Allocation(tuple(alpha)), diagnostics
+    return Allocation(alpha), diagnostics
 
 
 def _check_target(snapshot: Snapshot, distortion_target: float) -> float:
@@ -281,7 +280,7 @@ def min_power_allocation(
         threshold_constant=rho0,
         dual_value=rho0**2,
     )
-    return Allocation(tuple(alpha)), diagnostics
+    return Allocation(alpha), diagnostics
 
 
 #: Steps any one monotone Newton iteration may take before it counts as stalled; gamma over
@@ -345,7 +344,7 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
     lam = float(_monotone_newton(np.zeros(1), dual_step, 1.0, "squared-power dual")[0])
     alpha = np.zeros(snapshot.k)
     alpha[usable] = lam * half_eta_sq * cubic_root(lam) ** 2 / snapshot.s[usable]
-    return Allocation(tuple(alpha))
+    return Allocation(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +434,7 @@ def numeric_reference_allocation(
     else:
         raise ConvergenceFailure("projected gradient reference solver exhausted its budget")
 
-    return Allocation(tuple(x))
+    return Allocation(x)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +700,7 @@ def optimality_certificate(
     """
     s = snapshot.s
     inv_gamma = snapshot.inv_gamma
-    alpha = allocation.as_array
+    alpha = allocation.alpha_prime
     lam = diagnostics.dual_value
     with np.errstate(divide="ignore", invalid="ignore"):
         marginal = np.where(s > 0, 1.0 / s / (inv_gamma * alpha + 1.0 / np.where(s > 0, s, 1.0)) ** 2, 0.0)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import SensorSite, SignalPrior, Snapshot
+from .model import SignalPrior, Snapshot
 
 _DOUBLES_PER_BLOCK = 4  # one Philox counter increment yields 4 uint64 = 4 doubles
 _MAX_SEED = 2**64
@@ -262,10 +262,7 @@ def sample_batch(
 def sample_snapshot(model: NetworkModel, k: int, rng: RngStream) -> Snapshot:
     """One random snapshot, a pure function of (model, k, rng.seed, rng.trial)."""
     s, gamma = sample_batch(model, k, rng.seed, rng.trial, 1)
-    return Snapshot(
-        prior=model.prior,
-        sensors=tuple(SensorSite(float(g), float(v)) for g, v in zip(gamma[0], s[0])),
-    )
+    return Snapshot(model.prior, gamma[0], s[0])
 
 
 _MEAN_ETA_SAMPLES = 1_000_000

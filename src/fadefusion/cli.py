@@ -148,14 +148,13 @@ def _parse_set(items: Optional[Sequence[str]]) -> dict[str, str]:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(
-        args.config,
-        overrides=_parse_set(args.set),
-        seed=args.seed,
-        trials=args.trials,
-        output=args.output,
-        workers=args.workers,
-    )
+    overrides = _parse_set(args.set)
+    flags = {"experiment.seed": args.seed, "experiment.trials": args.trials,
+             "output.path": args.output, "output.workers": args.workers}
+    # Dedicated flags win over --set; '%%' keeps a flag value literal under configparser.
+    overrides.update((key, str(value).replace("%", "%%")) for key, value in flags.items()
+                     if value is not None)
+    cfg = load_config(args.config, overrides=overrides)
     started = time.perf_counter()
     columns, rows = _run_sweep(cfg)
     _write_csv(cfg, columns, rows)
@@ -218,7 +217,7 @@ def _parse_caps(raw: Optional[str], k: int) -> Optional[CapVector]:
         values = values * k
     if len(values) != k:
         raise ConfigError(f"--caps needs 1 or {k} values, got {len(values)}")
-    return CapVector(tuple(values))
+    return CapVector(values)
 
 
 def _print_allocation(snapshot, allocation, diagnostics, extras, machine: bool) -> None:
@@ -239,10 +238,10 @@ def _print_allocation(snapshot, allocation, diagnostics, extras, machine: bool) 
         return
     print(f"{'sensor':>6}  {'gamma':>12}  {'s_per_w':>12}  {'alpha_prime':>14}  "
           f"{'transmit_w':>14}  active")
-    for i, site in enumerate(snapshot.sensors):
-        gamma_txt = "noiseless" if math.isinf(site.gamma) else _fmt(site.gamma)
+    for i, (gamma, s) in enumerate(zip(snapshot.gamma, snapshot.s)):
+        gamma_txt = "noiseless" if math.isinf(gamma) else _fmt(gamma)
         print(
-            f"{i + 1:>6}  {gamma_txt:>12}  {_fmt(site.s):>12}  "
+            f"{i + 1:>6}  {gamma_txt:>12}  {_fmt(s):>12}  "
             f"{_fmt(allocation.alpha_prime[i]):>14}  {_fmt(powers[i]):>14}  "
             f"{'yes' if allocation.alpha_prime[i] > 0 else 'no'}"
         )

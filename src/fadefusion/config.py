@@ -202,26 +202,21 @@ def _read_sections(path: Optional[str], overrides: Optional[dict]) -> configpars
         if "." not in dotted:
             raise ConfigError(f"--set needs section.key=value, got {dotted!r}")
         section, key = dotted.split(".", 1)
-        if section not in parser or key not in _DEFAULTS.get(section, {}):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        parser[section][key] = value
+        parser.read_dict({section: {key: value}})
+    for section in parser.sections():  # an empty unknown section sets nothing and passes
+        for key in parser[section]:
+            if key not in _DEFAULTS.get(section, {}):
+                raise ConfigError(f"unknown config key {f'{section}.{key}'!r}")
     return parser
 
 
-def load_config(
-    path: str,
-    *,
-    overrides: Optional[dict[str, str]] = None,
-    seed: Optional[int] = None,
-    trials: Optional[int] = None,
-    output: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> ExperimentConfig:
-    """Read and validate an experiment file, applying CLI overrides on top.
+def load_config(path: str, *, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
+    """Read and validate an experiment file, applying ``section.key`` overrides on top.
 
-    Override precedence: dedicated flags > --set pairs > file values >
-    built-in defaults.  The default seed comes from the environment variable
-    named by ``SEED_ENV_VAR``, falling back to 0.
+    Override precedence: overrides > file values > built-in defaults; every
+    section and key must be one of the built-in defaults.  The default seed
+    comes from the environment variable named by ``SEED_ENV_VAR``, falling
+    back to 0.
     """
     parser = _read_sections(path, overrides)
     exp = parser["experiment"]
@@ -254,15 +249,13 @@ def load_config(
     if not d0 > 0:
         raise ConfigError("d0 must be > 0")
 
-    if trials is None:
-        raw_trials = exp["trials"].strip()
-        trials = _parse_int("experiment", "trials", raw_trials) if raw_trials else 10_000
+    raw_trials = exp["trials"].strip()
+    trials = _parse_int("experiment", "trials", raw_trials) if raw_trials else 10_000
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
-    if seed is None:
-        raw_seed = exp["seed"].strip() or os.environ.get(SEED_ENV_VAR, "0")
-        seed = _parse_int("experiment", "seed", raw_seed)
+    raw_seed = exp["seed"].strip() or os.environ.get(SEED_ENV_VAR, "0")
+    seed = _parse_int("experiment", "seed", raw_seed)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
 
@@ -289,10 +282,8 @@ def load_config(
     model = _build_model(parser["model"])
 
     out_section = parser["output"]
-    if output is None:
-        output = out_section["path"]
-    if workers is None:
-        workers = _parse_int("output", "workers", out_section["workers"])
+    output = out_section["path"]
+    workers = _parse_int("output", "workers", out_section["workers"])
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 

@@ -6,8 +6,10 @@ SNR ``s`` (channel power gain over channel noise variance, in 1/W).  Each
 sensor amplifies-and-forwards its observation with a power budget
 ``alpha_prime`` (the amplifying factor scaled by the signal variance), and
 the fusion center combines the received values with the best linear
-unbiased estimator.  This module holds those types plus the closed-form
-estimator variance and its explicit matrix-form twin used as a test oracle.
+unbiased estimator.  This module holds those types, whose per-sensor
+quantities (gamma, s, alpha_prime) are read-only float arrays indexed by
+sensor, plus the closed-form estimator variance and its explicit
+matrix-form twin used as a test oracle.
 
 All powers are in watts; dB conversions happen at the config boundary only.
 """
@@ -47,121 +49,84 @@ class SignalPrior:
         )
 
 
-@dataclass(frozen=True)
-class SensorSite:
-    """One sensor: observation SNR ``gamma`` and channel SNR ``s``.
-
-    ``gamma`` is dimensionless and strictly positive; ``NOISELESS``
-    (``math.inf``) marks a sensor with zero observation noise so that the
-    1/gamma limit is exact.  ``s`` is in 1/W and may be zero (a channel in a
-    deep fade contributes nothing).
-    """
-
-    gamma: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _check_positive("gamma", self.gamma, allow_inf=True))
-        s = float(self.s)
-        if math.isnan(s) or math.isinf(s) or s < 0:
-            raise ValueError(f"s must be finite and >= 0, got {s}")
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def noiseless(cls, s: float) -> "SensorSite":
-        return cls(gamma=NOISELESS, s=s)
-
-    @property
-    def inv_gamma(self) -> float:
-        return 0.0 if math.isinf(self.gamma) else 1.0 / self.gamma
-
-    @property
-    def merit(self) -> float:
-        """Combined channel/observation quality s / (1 + 1/gamma)."""
-        return self.s / (1.0 + self.inv_gamma)
+def _frozen_vector(values) -> np.ndarray:
+    """A read-only 1-D float copy of ``values``."""
+    array = np.array(values, dtype=float)
+    if array.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
-def merit(sensor: SensorSite) -> float:
-    """Figure of merit s / (1 + 1/gamma); equals s itself for a noiseless sensor."""
-    return sensor.merit
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """One realization of the network: a signal prior plus K sensor sites.
+    """One realization of the network: a signal prior plus K sensors.
 
+    ``gamma`` (observation SNR, dimensionless) and ``s`` (channel SNR, 1/W)
+    are read-only float arrays of length K.  Every ``gamma`` is strictly
+    positive; ``NOISELESS`` (``math.inf``) marks a sensor with zero
+    observation noise so that the 1/gamma limit is exact.  Every ``s`` is
+    finite and may be zero (a channel in a deep fade contributes nothing).
     Sensor order is identity: ranking and allocation results always refer
     back to these indices.
     """
 
     prior: SignalPrior
-    sensors: tuple[SensorSite, ...]
+    gamma: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self):
-        sensors = tuple(self.sensors)
-        if len(sensors) < 1:
+        gamma, s = _frozen_vector(self.gamma), _frozen_vector(self.s)
+        if gamma.size < 1:
             raise ValueError("a snapshot needs at least one sensor")
-        if not all(isinstance(site, SensorSite) for site in sensors):
-            raise TypeError("sensors must be SensorSite instances")
-        object.__setattr__(self, "sensors", sensors)
+        if gamma.size != s.size:
+            raise ValueError("gamma and s must have equal length")
+        if not (gamma > 0).all():
+            raise ValueError(f"gamma must be strictly positive and finite, got {gamma}")
+        if not (np.isfinite(s) & (s >= 0)).all():
+            raise ValueError(f"s must be finite and >= 0, got {s}")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def from_arrays(
         cls, sigma_theta_sq: float, gamma: Iterable[float], s: Iterable[float]
     ) -> "Snapshot":
-        gamma = list(gamma)
-        s = list(s)
-        if len(gamma) != len(s):
-            raise ValueError("gamma and s must have equal length")
-        return cls(
-            prior=SignalPrior(sigma_theta_sq),
-            sensors=tuple(SensorSite(g, v) for g, v in zip(gamma, s)),
-        )
+        return cls(SignalPrior(sigma_theta_sq), list(gamma), list(s))
 
     @property
     def k(self) -> int:
-        return len(self.sensors)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return np.array([site.gamma for site in self.sensors])
+        return self.gamma.size
 
     @cached_property
     def inv_gamma(self) -> np.ndarray:
-        return np.array([site.inv_gamma for site in self.sensors])
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return np.array([site.s for site in self.sensors])
+        return 1.0 / self.gamma
 
     @cached_property
     def eta(self) -> np.ndarray:
+        """Figure of merit s / (1 + 1/gamma); equals s itself for a noiseless sensor."""
         return self.s / (1.0 + self.inv_gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
-    """Per-sensor amplification budgets alpha'_k (power units), all >= 0."""
+    """Per-sensor amplification budgets alpha'_k (power units), a read-only array, all >= 0."""
 
-    alpha_prime: tuple[float, ...]
+    alpha_prime: np.ndarray
 
     def __post_init__(self):
-        values = tuple(float(a) for a in self.alpha_prime)
-        if any(math.isnan(a) or math.isinf(a) or a < 0 for a in values):
+        values = _frozen_vector(self.alpha_prime)
+        if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("alpha_prime entries must be finite and >= 0")
         object.__setattr__(self, "alpha_prime", values)
 
     def __len__(self) -> int:
-        return len(self.alpha_prime)
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        return np.array(self.alpha_prime)
+        return self.alpha_prime.size
 
     def transmit_powers(self, snapshot: Snapshot) -> np.ndarray:
         """Per-sensor transmit powers P_k = alpha'_k (1 + 1/gamma_k), watts."""
         _check_length(snapshot, self)
-        return self.as_array * (1.0 + snapshot.inv_gamma)
+        return self.alpha_prime * (1.0 + snapshot.inv_gamma)
 
     def total_power(self, snapshot: Snapshot) -> float:
         return float(np.sum(self.transmit_powers(snapshot)))
@@ -188,7 +153,7 @@ def signal_contributions(snapshot: Snapshot, allocation: Allocation) -> np.ndarr
     Each r_k lives in [0, gamma_k); sensors with alpha'=0 or s=0 contribute 0.
     """
     _check_length(snapshot, allocation)
-    x = allocation.as_array * snapshot.s
+    x = allocation.alpha_prime * snapshot.s
     return x / (snapshot.inv_gamma * x + 1.0)
 
 
@@ -216,7 +181,7 @@ def blue_mse_matrix_oracle(snapshot: Snapshot, allocation: Allocation) -> float:
     """
     _check_length(snapshot, allocation)
     sigma_theta_sq = snapshot.prior.variance_theta
-    amp = allocation.as_array / sigma_theta_sq  # alpha_k
+    amp = allocation.alpha_prime / sigma_theta_sq  # alpha_k
     g = snapshot.s  # channel power gain under xi^2 = 1
     obs_var = sigma_theta_sq * snapshot.inv_gamma  # sigma_k^2 (0 for noiseless)
     h = np.sqrt(amp * g)
@@ -232,7 +197,7 @@ def equal_allocation(snapshot: Snapshot, total_power: float) -> Allocation:
     if total_power < 0:
         raise ValueError("total_power must be >= 0")
     share = total_power / snapshot.k
-    return Allocation(tuple(share / (1.0 + site.inv_gamma) for site in snapshot.sensors))
+    return Allocation(share / (1.0 + snapshot.inv_gamma))
 
 
 def equal_power_mse(snapshot: Snapshot, total_power: float) -> float:

@@ -19,7 +19,7 @@ def random_snapshot(rng: np.random.Generator, k: int | None = None, kmax: int = 
 def matrix_mse_inline(snapshot: ff.Snapshot, allocation: ff.Allocation) -> float:
     """Test-local BLUE variance from first principles (gain vector + noise matrix)."""
     sig = snapshot.prior.variance_theta
-    amp = allocation.as_array / sig
+    amp = allocation.alpha_prime / sig
     g = snapshot.s  # unit channel-noise convention
     obs_var = sig * snapshot.inv_gamma
     h = np.sqrt(amp * g)

@@ -27,7 +27,7 @@ def test_criterion_01_closed_form_vs_matrix_oracle():
     for _ in range(1000):
         snap = random_snapshot(rng, kmax=10)
         alloc = ff.Allocation(tuple(rng.uniform(0.0, 10.0, snap.k)))
-        if not np.any(alloc.as_array * snap.s):
+        if not np.any(alloc.alpha_prime * snap.s):
             continue
         closed = ff.blue_mse(snap, alloc)
         oracle = ff.blue_mse_matrix_oracle(snap, alloc)

@@ -111,7 +111,7 @@ class TestMaxPerformance:
             ff.max_performance_allocation(snap([1.0, 2.0], [0.0, 0.0]), 1.0)
         with pytest.raises(ValueError):
             ff.max_performance_allocation(snap([1.0], [1.0]), 0.0)
-        noiseless = ff.Snapshot(ff.SignalPrior(1.0), (ff.SensorSite.noiseless(1.0),))
+        noiseless = ff.Snapshot(ff.SignalPrior(1.0), [ff.NOISELESS], [1.0])
         with pytest.raises(ValueError):
             ff.max_performance_allocation(noiseless, 1.0)
 
@@ -229,9 +229,7 @@ class TestMinPower:
         d0 = float(ff.distortion_floor(s1) * 3)
         base, _ = ff.min_power_allocation(s1, d0)
         for factor in (0.25, 8.0):
-            scaled = ff.Snapshot(
-                ff.SignalPrior(factor * s1.prior.variance_theta), s1.sensors
-            )
+            scaled = ff.Snapshot(ff.SignalPrior(factor * s1.prior.variance_theta), s1.gamma, s1.s)
             alloc, _ = ff.min_power_allocation(scaled, factor * d0)
             assert alloc.alpha_prime == pytest.approx(base.alpha_prime, rel=1e-12)
 

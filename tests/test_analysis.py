@@ -205,10 +205,7 @@ class TestChernoffBound:
 
 class TestSandwich:
     def test_noiseless_sensors_collapse_the_bounds(self):
-        snap = ff.Snapshot(
-            ff.SignalPrior(1.0),
-            (ff.SensorSite.noiseless(3.0), ff.SensorSite.noiseless(5.0)),
-        )
+        snap = ff.Snapshot(ff.SignalPrior(1.0), [ff.NOISELESS] * 2, [3.0, 5.0])
         chk = ff.sandwich_check(snap, 2.0)
         assert chk.ok
         assert chk.lower == chk.fused_snr == chk.upper

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import pytest
 import fadefusion as ff
 from fadefusion.cli import main, read_snapshot_file
 from fadefusion.config import SEED_ENV_VAR, ConfigError, load_config
+
+ROOT = Path(__file__).parent.parent
+SHIPPED_CONFIGS = [*sorted(ROOT.glob("tests/golden/*.ini")),
+                   *sorted(ROOT.glob("perfbench/workloads/*.ini"))]
 
 BASE_CONFIG = """
 [experiment]
@@ -63,12 +68,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sweeps d0"):
             load_config(write(tmp_path, "e.ini", bad.format(out=tmp_path / "o.csv")))
 
+    @pytest.mark.parametrize(
+        "line, typo, key",
+        [
+            ("seed = 11\n", "polcy = optimal\n", "experiment.polcy"),
+            ("path = {out}\n", "[modle]\nfading = nakagami\n", "modle.fading"),
+        ],
+        ids=["key-typo", "section-typo"],
+    )
+    def test_unknown_file_key_is_rejected(self, tmp_path, capsys, line, typo, key):
+        text = BASE_CONFIG.replace(line, line + typo)
+        cfg_path = write(tmp_path, "e.ini", text.format(out=tmp_path / "o.csv"))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(cfg_path)
+        assert main(["run", "--config", cfg_path, "--trials", "10"]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_experiment_files_load(self, path):
+        assert load_config(str(path)).scenario
+
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         no_seed = BASE_CONFIG.replace("seed = 11\n", "")
         cfg_path = write(tmp_path, "e.ini", no_seed.format(out=tmp_path / "o.csv"))
         monkeypatch.setenv(SEED_ENV_VAR, "777")
         assert load_config(cfg_path).seed == 777
-        assert load_config(cfg_path, seed=5).seed == 5
+        assert load_config(cfg_path, overrides={"experiment.seed": "5"}).seed == 5
         monkeypatch.delenv(SEED_ENV_VAR)
         assert load_config(cfg_path).seed == 0
 
@@ -104,6 +129,9 @@ class TestRun:
         cfg_path = write(tmp_path, "e.ini", BASE_CONFIG.format(out=out))
         assert main(["run", "--config", cfg_path, "--seed", "99", "--trials", "500"]) == 0
         assert "# seed=99" in out.read_text()
+        argv = ["run", "--config", cfg_path, "--set", "experiment.seed=3", "--seed", "5"]
+        assert main(argv + ["--trials", "500"]) == 0
+        assert "# seed=5" in out.read_text()
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -214,7 +242,7 @@ class TestAlloc:
         assert snap.gamma == pytest.approx([100.0, 50.0, 2.0])
         noiseless = "sigma_theta_sq = 2.0\nnoiseless 5.0\n"
         snap2 = read_snapshot_file(write(tmp_path, "n.txt", noiseless))
-        assert math.isinf(snap2.sensors[0].gamma)
+        assert math.isinf(snap2.gamma[0])
 
     def test_snapshot_parse_errors(self, tmp_path):
         for text in ("100 1.0\n", "sigma_theta_sq = 1.0\n1 2 3\n", "sigma_theta_sq = 1.0\n"):

@@ -20,32 +20,55 @@ class TestTypes:
             ff.SignalPrior(-1.0)
 
     def test_sensor_site_validation(self):
-        with pytest.raises(ValueError):
-            ff.SensorSite(gamma=0.0, s=1.0)
-        with pytest.raises(ValueError):
-            ff.SensorSite(gamma=1.0, s=-0.5)
-        site = ff.SensorSite(gamma=ff.NOISELESS, s=2.0)
-        assert site.inv_gamma == 0.0
+        bad = [
+            ([0.0], [1.0]),
+            ([1.0], [-0.5]),
+            ([math.nan], [1.0]),
+            ([1.0], [math.nan]),
+            ([1.0], [math.inf]),
+            ([1.0, 2.0], [1.0]),
+            ([[1.0]], [[1.0]]),
+        ]
+        for gamma, s in bad:
+            with pytest.raises(ValueError):
+                ff.Snapshot(ff.SignalPrior(1.0), gamma, s)
+        assert snap([ff.NOISELESS], [2.0]).inv_gamma[0] == 0.0
+
+    def test_arrays_are_read_only_copies(self):
+        gamma, s, alpha, caps = (np.array([1.0, 2.0]) for _ in range(4))
+        snapshot = ff.Snapshot(ff.SignalPrior(1.0), gamma, s)
+        allocation = ff.Allocation(alpha)
+        cap_vector = ff.CapVector(caps)
+        for array in (gamma, s, alpha, caps):
+            array[0] = 9.0
+        for held in (snapshot.gamma, snapshot.s, allocation.alpha_prime, cap_vector.caps):
+            np.testing.assert_array_equal(held, [1.0, 2.0])
+            with pytest.raises(ValueError):
+                held[0] = 3.0
 
     def test_snapshot_needs_a_sensor(self):
         with pytest.raises(ValueError):
-            ff.Snapshot(ff.SignalPrior(1.0), ())
+            ff.Snapshot(ff.SignalPrior(1.0), (), ())
 
     def test_allocation_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ff.Allocation((1.0, -0.1))
+        for bad in ((1.0, -0.1), (1.0, math.nan), ((1.0,),)):
+            with pytest.raises(ValueError):
+                ff.Allocation(bad)
+        for bad in ((1.0, math.nan), (1.0, 0.0), ((1.0,),)):
+            with pytest.raises(ValueError):
+                ff.CapVector(bad)
 
 
 class TestMerit:
     def test_unit_gamma(self):
-        assert ff.merit(ff.SensorSite(gamma=1.0, s=4.0)) == 2.0
+        assert snap([1.0], [4.0]).eta[0] == 2.0
 
     def test_noiseless_passes_s_through(self):
-        assert ff.merit(ff.SensorSite.noiseless(7.0)) == 7.0
+        assert snap([ff.NOISELESS], [7.0]).eta[0] == 7.0
 
     def test_field_scale_magnitudes_match_rational_arithmetic(self):
         expected = Fraction(10**5) * Fraction(100, 101)
-        got = ff.merit(ff.SensorSite(gamma=100.0, s=1e5))
+        got = snap([100.0], [1e5]).eta[0]
         assert got == pytest.approx(float(expected), rel=1e-15)
 
 
@@ -101,7 +124,7 @@ class TestBlueMse:
         s1 = random_snapshot(rng, k=6)
         alpha = rng.uniform(0.0, 5.0, 6)
         perm = rng.permutation(6)
-        s2 = ff.Snapshot(s1.prior, tuple(s1.sensors[i] for i in perm))
+        s2 = ff.Snapshot(s1.prior, s1.gamma[perm], s1.s[perm])
         m1 = ff.blue_mse(s1, ff.Allocation(tuple(alpha)))
         m2 = ff.blue_mse(s2, ff.Allocation(tuple(alpha[perm])))
         assert m1 == pytest.approx(m2, rel=1e-13)
@@ -129,7 +152,7 @@ class TestMatrixOracle:
         for _ in range(200):
             s1 = random_snapshot(rng, kmax=10)
             alloc = ff.Allocation(tuple(rng.uniform(0.0, 10.0, s1.k)))
-            if not np.any(alloc.as_array * s1.s):
+            if not np.any(alloc.alpha_prime * s1.s):
                 continue
             closed = ff.blue_mse(s1, alloc)
             oracle = ff.blue_mse_matrix_oracle(s1, alloc)
