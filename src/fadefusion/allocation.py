@@ -24,6 +24,15 @@ the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
 separate from the batch kernels because they are the kernels' independent
 test reference.
 
+A chunk is a (trials, K) array, and the batch kernels keep the memory order
+they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
+column-major, so every sum over sensors adds whole contiguous columns:
+``np.sum(axis=1)`` does so by itself, and every prefix sum over sensors goes
+through ``_cumsum_sensors``, which adds column j-1 into column j.  Both make
+numpy's own additions in numpy's own order, so the output bits do not
+depend on the layout.  Row sorts and gathers (``_row_sorter``,
+``_take_rows``) keep a column-major chunk column-major.
+
 All solvers require finite observation SNRs: a noiseless sensor has
 constant (non-diminishing) marginal returns, so the threshold structure
 degenerates.  Zero-merit sensors (dead channels) are excluded from ranking
@@ -166,9 +175,10 @@ def _waterfill_row(
     such that sensor k is active iff c * sqrt(eta_k) > 1.
     """
     order, gamma_u, eta_u, sqrt_eta, a = _rank_row(gamma, eta)
-    b = np.add.accumulate(gamma_u / eta_u) + total_power  # np.cumsum without its call overhead
+    w = np.add.accumulate(gamma_u / eta_u)  # np.cumsum without its call overhead
+    b = w + total_power
     k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], "sum-power")[0])
-    if k1 == 0:
+    if k1 == 0 or b[k1 - 1] == w[k1 - 1]:  # the budget rounded away against w
         raise InternalConsistencyError("sum-power budget is below the closed form's resolution")
     c0 = b[k1 - 1] / a[k1 - 1]
     return _alpha_on_prefix(gamma, s, eta, order, k1, c0), float(c0)
@@ -442,12 +452,60 @@ def numeric_reference_allocation(
 # ---------------------------------------------------------------------------
 
 
+def _layout(x: np.ndarray) -> str:
+    """A chunk's memory order: "C" if each row's entries are adjacent, else "F".
+
+    A row-major chunk and a single row read "C".
+    """
+    return "C" if abs(x.strides[1]) == x.itemsize else "F"
+
+
+def _cumsum_sensors(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """np.cumsum(x, axis=1), run down the columns of a column-major chunk.
+
+    Adding column j-1 into column j is cumsum's own sequence of additions,
+    so the sums are bit-identical; the loop just reads whole contiguous
+    columns instead of short strided rows.  A row-major chunk, such as the
+    (1, K) row of a scalar solve, takes one accumulate call: a Python loop
+    over its columns would cost more than the additions.
+    """
+    if _layout(x) == "C":
+        return np.add.accumulate(x, axis=1, out=out)
+    if out is None:
+        out = np.empty(x.shape, order="F")
+    out[:, :1] = x[:, :1]
+    for j in range(1, x.shape[1]):
+        np.add(out[:, j - 1], x[:, j], out=out[:, j])
+    return out
+
+
+def _row_sorter(keys: np.ndarray):
+    """Stable argsort of each row of ``keys``, and a function permuting any chunk's rows by it.
+
+    Returns (order, permute); both keep the memory order of ``keys``.  A
+    column-major chunk is gathered through its flat column-major index,
+    which keeps the result column-major; take_along_axis would not.
+    """
+    if _layout(keys) == "C":
+        order = np.argsort(keys, axis=1, kind="stable")
+        return order, lambda x: np.take_along_axis(x, order, axis=1)
+    order = np.argsort(keys.T, axis=0, kind="stable").T  # sorted as rows, stored column-major
+    at = order * keys.shape[0]
+    at += np.arange(keys.shape[0])[:, None]
+    return order, lambda x: x.ravel("F")[at]
+
+
+def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows], kept in x's memory order; a column-major chunk is gathered column by column."""
+    return x.T.take(rows, axis=1).T if _layout(x) == "F" else x.take(rows, axis=0)
+
+
 def _rank_batch(gamma: np.ndarray, s: np.ndarray):
+    """Each row ranked by descending merit: (eta, gamma, usable) in the chunk's memory order."""
     eta = s / (1.0 + 1.0 / gamma)
-    order = np.argsort(-eta, axis=1, kind="stable")
-    eta_r = np.take_along_axis(eta, order, axis=1)
-    gamma_r = np.take_along_axis(gamma, order, axis=1)
-    return eta_r, gamma_r, eta_r > 0
+    permute = _row_sorter(-eta)[1]
+    eta_r = permute(eta)
+    return eta_r, permute(gamma), eta_r > 0
 
 
 def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
@@ -478,10 +536,10 @@ def _min_power_scan(u, gamma_r, required):
     gamma above ~1e16).  ``u`` and ``gamma_r`` are 0 on unusable sensors.  Returns the
     margins 1 - L/(required*u), diff(u), L and cumsum(gamma).
     """
-    prefix_gamma = np.add.accumulate(gamma_r, axis=1)
+    prefix_gamma = _cumsum_sensors(gamma_r)
     du = u[:, 1:] - u[:, :-1]
-    lead = np.zeros(u.shape)
-    np.add.accumulate(prefix_gamma[:, :-1] * du, axis=1, out=lead[:, 1:])
+    lead = np.zeros(u.shape, order=_layout(u))  # not zeros_like: 1.4 us more on a scalar solve
+    _cumsum_sensors(prefix_gamma[:, :-1] * du, out=lead[:, 1:])
     return 1.0 - lead / (required * u), du, lead, prefix_gamma
 
 
@@ -493,9 +551,11 @@ def _waterfill_prefix(eta_r, gamma_r, usable):
     """
     sqrt_eta = np.sqrt(eta_r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.cumsum(np.where(usable, gamma_r / sqrt_eta, 0.0), axis=1)
-        w = np.cumsum(np.where(usable, gamma_r / eta_r, 0.0), axis=1)
-    return sqrt_eta, a, w, np.cumsum(np.where(usable, gamma_r, 0.0), axis=1)
+        sums = [np.where(usable, gamma_r / scale, 0.0) for scale in (sqrt_eta, eta_r)]
+    sums.append(np.where(usable, gamma_r, 0.0))
+    for terms in sums:
+        _cumsum_sensors(terms, out=terms)
+    return sqrt_eta, *sums
 
 
 def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
@@ -509,10 +569,14 @@ def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
         margin /= a
     margin -= 1.0
     k1 = _prefix_cut(margin, "sum-power")
-    at_cut = np.arange(a.shape[0]) * a.shape[1] + np.maximum(k1 - 1, 0)  # flat (row, k1-1)
-    a_cut = a.take(at_cut)
-    c0 = np.where(k1 > 0, (w.take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0), np.nan)
-    total = np.where(k1 > 0, prefix_gamma.take(at_cut) - a_cut / c0, 0.0)
+    del margin  # a (trials, K) array; freed before the cut's row arrays are made
+    layout, rows, cut = _layout(a), np.arange(a.shape[0]), np.maximum(k1 - 1, 0)
+    # The flat index of (row, k1-1) in the chunk's own memory order.
+    at_cut = cut * a.shape[0] + rows if layout == "F" else rows * a.shape[1] + cut
+    a_cut = a.ravel(layout).take(at_cut)
+    c0 = (w.ravel(layout).take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0)
+    c0 = np.where(k1 > 0, c0, np.nan)
+    total = np.where(k1 > 0, prefix_gamma.ravel(layout).take(at_cut) - a_cut / c0, 0.0)
     return _mse_from_total(total, sigma_theta_sq), k1
 
 
@@ -575,12 +639,14 @@ def _equal_budget_batch(
     """
     required = sigma_theta_sq / d0
     feasible = np.where(s > 0, gamma, 0.0).sum(axis=1) > required
-    s = s[feasible]
-    inv_gamma = 1.0 / gamma[feasible]
+    rows = np.flatnonzero(feasible)
+    s = _take_rows(s, rows)
+    inv_gamma = 1.0 / _take_rows(gamma, rows)
     denom = gamma.shape[1] * (1.0 + inv_gamma)
 
     def newton_step(budget: np.ndarray, live: np.ndarray) -> np.ndarray:
-        s_l, inv_gamma_l, denom_l, column = s[live], inv_gamma[live], denom[live], budget[:, None]
+        s_l, inv_gamma_l, denom_l = (_take_rows(x, live) for x in (s, inv_gamma, denom))
+        column = budget[:, None]
         slope = np.sum(s_l * denom_l / (inv_gamma_l * (column * s_l) + denom_l) ** 2, axis=1)
         return budget + (required - _equal_total(s_l, inv_gamma_l, denom_l, column)) / slope
 
@@ -615,8 +681,9 @@ def min_power_total_batch(
     # P_k = gamma_k u_k (required u_k - L_k + R_k) / d on the active prefix, R_k = sum_{k<j<=k1}
     # gamma_j (u_j - u_k) summed like L; rho0*c - w loses every digit next to a huge gamma.
     g[np.arange(g.shape[1]) >= k1[:, None]] = 0.0
-    steps = np.cumsum(g[:, :0:-1], axis=1)[:, ::-1] * du  # (gamma over active j > i)(u_{i+1} - u_i)
-    trail = np.pad(np.cumsum(steps[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    steps = _cumsum_sensors(g[:, :0:-1])[:, ::-1] * du  # (gamma over active j > i)(u_{i+1} - u_i)
+    trail = np.zeros(g.shape, order=_layout(g))
+    _cumsum_sensors(steps[:, ::-1], out=trail[:, :-1][:, ::-1])
     total = np.sum(g * u * (required * u - lead + trail), axis=1)
     total = np.where(feasible, total / np.where(feasible, d, 1.0), np.inf)
     return total, np.where(feasible, k1, 0), feasible
@@ -635,13 +702,12 @@ def _spend_breakpoints(eta, sqrt_eta, gamma, cap_power):
     k = gamma.shape[1]
     rise, fall = gamma / sqrt_eta, gamma / eta  # an on, uncapped sensor spends rise * c - fall
     breaks = np.concatenate([1.0 / sqrt_eta, 1.0 / sqrt_eta + cap_power / rise], axis=1)
-    order = np.argsort(breaks, axis=1, kind="stable")
-    breaks = np.take_along_axis(breaks, order, axis=1)
-    sums = [np.take_along_axis(np.concatenate([step, -step], axis=1), order, axis=1)
-            for step in (rise, fall)]
+    order, permute = _row_sorter(breaks)
+    breaks = permute(breaks)
+    sums = [permute(np.concatenate([step, -step], axis=1)) for step in (rise, fall)]
     sums.append(np.where(order >= k, cap_power, 0.0))
     for steps in sums:
-        np.cumsum(steps, axis=1, out=steps)
+        _cumsum_sensors(steps, out=steps)
     return breaks, *sums
 
 

@@ -195,7 +195,8 @@ def _curve_sums(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float)
         sums = []
         for d0 in curve.points:
             optimal, _, feasible = min_power_total_batch(gamma, s, sigma_sq, d0)
-            equal = _equal_budget_batch(gamma[feasible], s[feasible], sigma_sq, d0)
+            # Rows are solved independently, and every row feasible here has a finite equal budget.
+            equal = _equal_budget_batch(gamma, s, sigma_sq, d0)[feasible]
             n_feasible = int(feasible.sum())
             sums.append((float(optimal[feasible].sum()), float(equal.sum()), n_feasible,
                          n - n_feasible))

@@ -9,6 +9,14 @@ Randomness is counter-based: trial t of a run seeded with ``seed`` owns a
 fixed window of the Philox counter sequence, so sampling is a pure function
 of (config, K, seed, trial) and batches reproduce bit-identically no matter
 how trials are chunked across workers.
+
+``sample_batch`` returns column-major chunks below ``_COLUMN_MAJOR_BELOW_K``
+sensors.  There every sum over sensors in the batch kernels runs down
+contiguous columns, with the same additions in the same order as along a
+row.  From 8 sensors on, numpy sums a contiguous row pairwise, so the
+column order would change the last bits; and from about 20 sensors on, the
+row sorts and gathers of the ranking kernels cost more column-major than
+the column sums save.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from .model import SignalPrior, Snapshot
 
 _DOUBLES_PER_BLOCK = 4  # one Philox counter increment yields 4 uint64 = 4 doubles
 _MAX_SEED = 2**64
+#: Chunks of fewer sensors are sampled column-major; see sample_batch.
+_COLUMN_MAJOR_BELOW_K = 8
 
 
 @dataclass(frozen=True)
@@ -240,7 +250,9 @@ def sample_batch(
     """Draw (s, gamma) arrays of shape (n_trials, k) for a trial range.
 
     Bit-identical to stacking single-trial draws: trial addressing does not
-    depend on n_trials or on where the range starts.
+    depend on n_trials or on where the range starts.  Both arrays are
+    column-major (Fortran order) when k < _COLUMN_MAJOR_BELOW_K and row-major
+    otherwise; the values do not depend on the layout.
     """
     if k < 1:
         raise ValueError("K must be >= 1")
@@ -251,12 +263,10 @@ def sample_batch(
         if n_fade
         else np.full((n_trials, k), model.fading.mean_square)
     )
-    s = model.propagation.mean_channel_snr(k) * fade
+    layout = "F" if k < _COLUMN_MAJOR_BELOW_K else "C"
+    s = np.multiply(model.propagation.mean_channel_snr(k), fade, order=layout)
     sigma_sq = model.observation.variances(k, u[:, n_fade:])
-    gamma = model.prior.variance_theta / sigma_sq
-    if gamma.ndim == 1:
-        gamma = np.broadcast_to(gamma, (n_trials, k)).copy()
-    return s, gamma
+    return s, np.divide(model.prior.variance_theta, sigma_sq, order=layout)
 
 
 def sample_snapshot(model: NetworkModel, k: int, rng: RngStream) -> Snapshot:

@@ -151,9 +151,8 @@ def _cmd_run(args) -> int:
     overrides = _parse_set(args.set)
     flags = {"experiment.seed": args.seed, "experiment.trials": args.trials,
              "output.path": args.output, "output.workers": args.workers}
-    # Dedicated flags win over --set; '%%' keeps a flag value literal under configparser.
-    overrides.update((key, str(value).replace("%", "%%")) for key, value in flags.items()
-                     if value is not None)
+    # Dedicated flags win over --set.
+    overrides.update((key, str(value)) for key, value in flags.items() if value is not None)
     cfg = load_config(args.config, overrides=overrides)
     started = time.perf_counter()
     columns, rows = _run_sweep(cfg)

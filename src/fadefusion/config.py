@@ -189,7 +189,7 @@ def _build_model(section: configparser.SectionProxy) -> NetworkModel:
 
 def _read_sections(path: Optional[str], overrides: Optional[dict]) -> configparser.ConfigParser:
     """Built-in defaults, then the file (if any), then ``section.key`` overrides."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.read_dict(_DEFAULTS)
     if path is not None:
         if not os.path.exists(path):

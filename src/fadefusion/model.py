@@ -82,7 +82,7 @@ class Snapshot:
         if gamma.size != s.size:
             raise ValueError("gamma and s must have equal length")
         if not (gamma > 0).all():
-            raise ValueError(f"gamma must be strictly positive and finite, got {gamma}")
+            raise ValueError(f"gamma must be strictly positive, not NaN, got {gamma}")
         if not (np.isfinite(s) & (s >= 0)).all():
             raise ValueError(f"s must be finite and >= 0, got {s}")
         object.__setattr__(self, "gamma", gamma)
@@ -100,12 +100,17 @@ class Snapshot:
 
     @cached_property
     def inv_gamma(self) -> np.ndarray:
-        return 1.0 / self.gamma
+        """1/gamma, a read-only array like gamma itself."""
+        inv_gamma = 1.0 / self.gamma
+        inv_gamma.flags.writeable = False
+        return inv_gamma
 
     @cached_property
     def eta(self) -> np.ndarray:
-        """Figure of merit s / (1 + 1/gamma); equals s itself for a noiseless sensor."""
-        return self.s / (1.0 + self.inv_gamma)
+        """Figure of merit s / (1 + 1/gamma), read-only; equals s itself for a noiseless sensor."""
+        eta = self.s / (1.0 + self.inv_gamma)
+        eta.flags.writeable = False
+        return eta
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import pytest
 import fadefusion as ff
 from fadefusion import allocation
 from fadefusion.allocation import (
+    _cumsum_sensors,
     _equal_budget_batch,
     _prefix_cut,
     capped_mse_batch,
@@ -119,6 +120,12 @@ class TestMaxPerformance:
         # P*eta/gamma ~ 1e-21: c*sqrt(eta) - 1 rounds to 0 for every sensor
         with pytest.raises(ff.InternalConsistencyError, match="resolution"):
             ff.max_performance_allocation(snap([10.0, 5.0], [1.0, 0.5]), 1e-20)
+
+    def test_a_budget_that_rounds_away_raises_instead_of_overspending(self):
+        # gamma/eta + P == gamma/eta, yet the margin rounds positive: the closed form would
+        # spend 4.4e-16 W of a 1e-30 W budget.
+        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
+            ff.max_performance_allocation(snap([1.0], [1.0]), 1e-30)
 
 
 class TestMaxPerformanceWithCaps:
@@ -459,6 +466,50 @@ class TestBatchKernels:
             ff.l2_min_power_allocation(snap([100.0, 100.0], [1e3, 1.0]), 0.006)
         with pytest.raises(ff.ConvergenceFailure, match="squared-power dual"):
             ff.l2_min_power_allocation(snap([100.0], [1.0]), 10.0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestColumnMajorChunks:
+    @pytest.mark.parametrize("k", [1, 2, 3, 20, 100])
+    def test_cumsum_sensors_is_cumsum_bit_for_bit(self, k):
+        rng = np.random.default_rng(41)
+        x = 10 ** rng.uniform(-8, 8, (300, k)) * rng.choice([-1.0, 1.0], (300, k))
+        for chunk in (x, np.asfortranarray(x)):
+            for view in (chunk, chunk[:, ::-1], chunk[:1], chunk[:1].copy()):
+                assert _bits(_cumsum_sensors(view)) == _bits(np.cumsum(view, axis=1))
+            out = np.zeros((300, k + 1), order="F")[:, ::-1]
+            _cumsum_sensors(chunk, out=out[:, 1:])
+            assert _bits(out[:, 1:]) == _bits(np.cumsum(x, axis=1)) and not out[:, 0].any()
+
+    @pytest.mark.parametrize("k", [3, 20, 100])
+    def test_kernels_agree_on_row_and_column_major_chunks(self, k):
+        # Below 8 sensors the columns are added in numpy's own row order; from 8 on numpy sums
+        # a contiguous row pairwise, so a column-major chunk may differ in the last bits.
+        rng = np.random.default_rng(43)
+        gamma = 10 ** rng.uniform(-0.3, 2.3, (400, k))
+        s = np.where(rng.random((400, k)) < 0.2, 0.0, 10 ** rng.uniform(-1.3, 1.3, (400, k)))
+        s[0] = 0.0  # a dead row
+        live = np.where(s > 0, gamma, 0.0).sum(axis=1)
+        d0 = 2.0 / live[live > 0].min()  # twice the highest floor: every live row is feasible
+        budgets = np.array([0.01, 0.3, 3.0])
+
+        def kernels(g, sv):
+            return (equal_power_mse_batch(g, sv, 1.0, budgets),
+                    *sum_power_mse_batch(g, sv, 1.0, budgets),
+                    *min_power_total_batch(g, sv, 1.0, d0),
+                    _equal_budget_batch(g, sv, 1.0, d0),
+                    capped_mse_batch(g, sv, 1.0, 0.3, 1.5 * 0.3 / k))
+
+        by_rows = kernels(gamma, s)
+        by_columns = kernels(np.asfortranarray(gamma), np.asfortranarray(s))
+        for rows, columns in zip(by_rows, by_columns):
+            if k < 8:
+                assert _bits(columns) == _bits(rows)
+            else:
+                np.testing.assert_allclose(columns, rows, rtol=1e-12)
 
 
 class TestPrefixCut:

@@ -6,7 +6,7 @@ from scipy.stats import kstest
 
 import fadefusion as ff
 from fadefusion import units
-from fadefusion.channel import default_network
+from fadefusion.channel import _COLUMN_MAJOR_BELOW_K, _uniform_block, default_network
 
 
 def unit_gamma_model(mean_s=2.0):
@@ -108,6 +108,21 @@ class TestSnapshotSampling:
                 s_t, g_t = ff.sample_batch(model, 3, seed=7, start_trial=t, n_trials=1)
                 assert np.array_equal(s_all[t], s_t[0])
                 assert np.array_equal(g_all[t], g_t[0])
+
+    def test_small_chunks_are_column_major_with_unchanged_values(self):
+        # The row-major reference is how the draws were laid out before chunks went column-major.
+        for model in (default_network(), _random_obs_model()):
+            for k in (1, 3, _COLUMN_MAJOR_BELOW_K - 1, _COLUMN_MAJOR_BELOW_K, 20):
+                s, gamma = ff.sample_batch(model, k, seed=7, start_trial=5, n_trials=40)
+                u = _uniform_block(7, 5, 40, model.draws_per_trial(k))
+                fade = model.fading.power_from_uniform(u[:, :k])
+                np.testing.assert_array_equal(s, model.propagation.mean_channel_snr(k) * fade)
+                sigma_sq = model.observation.variances(k, u[:, k:])
+                np.testing.assert_array_equal(gamma, model.prior.variance_theta / sigma_sq)
+                column_major = k < _COLUMN_MAJOR_BELOW_K
+                assert s.flags.f_contiguous == gamma.flags.f_contiguous == column_major
+                row_major = k == 1 or not column_major  # an (n, 1) array is both
+                assert s.flags.c_contiguous == gamma.flags.c_contiguous == row_major
 
     def test_chunked_equals_whole(self):
         model = default_network()

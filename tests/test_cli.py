@@ -88,6 +88,16 @@ class TestConfig:
     def test_shipped_experiment_files_load(self, path):
         assert load_config(str(path)).scenario
 
+    def test_percent_signs_are_read_literally(self, tmp_path):
+        in_file = tmp_path / "file%20.csv"
+        cfg_path = write(tmp_path, "e.ini", BASE_CONFIG.format(out=in_file))
+        assert load_config(cfg_path).output == str(in_file)
+        for option in ("--set", "--output"):
+            out = tmp_path / f"{option[2:]}%(k)s%.csv"
+            value = f"output.path={out}" if option == "--set" else str(out)
+            assert main(["run", "--config", cfg_path, "--trials", "10", option, value]) == 0
+            assert out.exists()
+
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         no_seed = BASE_CONFIG.replace("seed = 11\n", "")
         cfg_path = write(tmp_path, "e.ini", no_seed.format(out=tmp_path / "o.csv"))
@@ -285,6 +295,11 @@ class TestAlloc:
     def test_budget_below_resolution_exits_4(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n10 1\n5 0.5\n")
         assert main(["alloc", path, "--budget", "1e-20"]) == 4
+        assert "internal consistency failure" in capsys.readouterr().err
+
+    def test_budget_that_rounds_away_exits_4(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n1 1\n")
+        assert main(["alloc", path, "--budget", "1e-30"]) == 4
         assert "internal consistency failure" in capsys.readouterr().err
 
     def test_l2_variant(self, tmp_path, capsys):

@@ -32,6 +32,8 @@ class TestTypes:
         for gamma, s in bad:
             with pytest.raises(ValueError):
                 ff.Snapshot(ff.SignalPrior(1.0), gamma, s)
+        with pytest.raises(ValueError, match="gamma must be strictly positive, not NaN"):
+            ff.Snapshot(ff.SignalPrior(1.0), [math.nan], [1.0])
         assert snap([ff.NOISELESS], [2.0]).inv_gamma[0] == 0.0
 
     def test_arrays_are_read_only_copies(self):
@@ -45,6 +47,11 @@ class TestTypes:
             np.testing.assert_array_equal(held, [1.0, 2.0])
             with pytest.raises(ValueError):
                 held[0] = 3.0
+        for cached in (snapshot.eta, snapshot.inv_gamma):  # every later solve reads these
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        np.testing.assert_array_equal(snapshot.eta, [0.5, 4.0 / 3.0])
+        np.testing.assert_array_equal(snapshot.inv_gamma, [1.0, 0.5])
 
     def test_snapshot_needs_a_sensor(self):
         with pytest.raises(ValueError):
