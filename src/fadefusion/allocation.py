@@ -543,12 +543,13 @@ def _min_power_scan(u, gamma_r, required):
     return 1.0 - lead / (required * u), du, lead, prefix_gamma
 
 
-def _waterfill_prefix(eta_r, gamma_r, usable):
-    """Budget-independent sums over each ranked row's usable sensors.
+def _waterfill_prefix(gamma, s):
+    """Budget-independent sums over each row's usable sensors, ranked by merit.
 
     Returns sqrt(eta) and the prefix sums a = cumsum(gamma/sqrt(eta)),
-    w = cumsum(gamma/eta) and prefix_gamma = cumsum(gamma).
+    w = cumsum(gamma/eta) and prefix_gamma = cumsum(gamma), in rank order.
     """
+    eta_r, gamma_r, usable = _rank_batch(gamma, s)
     sqrt_eta = np.sqrt(eta_r)
     with np.errstate(divide="ignore", invalid="ignore"):
         sums = [np.where(usable, gamma_r / scale, 0.0) for scale in (sqrt_eta, eta_r)]
@@ -561,7 +562,9 @@ def _waterfill_prefix(eta_r, gamma_r, usable):
 def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
     """Optimal distortion and cutoff index per row, one budget for every row.
 
-    Rows with no usable sensor get mse = +inf and k1 = 0.
+    Rows with no usable sensor get mse = +inf and k1 = 0.  Rows where the
+    budget rounds away against w at the cut (b == w, the case in which
+    ``_waterfill_row`` raises) get mse = +inf: their closed form reads noise.
     """
     margin = w + total_power  # becomes sqrt(eta) * b / a - 1, b = w + P
     margin *= sqrt_eta
@@ -573,10 +576,12 @@ def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
     layout, rows, cut = _layout(a), np.arange(a.shape[0]), np.maximum(k1 - 1, 0)
     # The flat index of (row, k1-1) in the chunk's own memory order.
     at_cut = cut * a.shape[0] + rows if layout == "F" else rows * a.shape[1] + cut
-    a_cut = a.ravel(layout).take(at_cut)
-    c0 = (w.ravel(layout).take(at_cut) + total_power) / np.where(a_cut > 0, a_cut, 1.0)
-    c0 = np.where(k1 > 0, c0, np.nan)
-    total = np.where(k1 > 0, prefix_gamma.ravel(layout).take(at_cut) - a_cut / c0, 0.0)
+    a_cut, w_cut = a.ravel(layout).take(at_cut), w.ravel(layout).take(at_cut)
+    b_cut = w_cut + total_power
+    c0 = b_cut / np.where(a_cut > 0, a_cut, 1.0)
+    solved = (k1 > 0) & (b_cut != w_cut)
+    c0 = np.where(solved, c0, np.nan)
+    total = np.where(solved, prefix_gamma.ravel(layout).take(at_cut) - a_cut / c0, 0.0)
     return _mse_from_total(total, sigma_theta_sq), k1
 
 
@@ -595,7 +600,7 @@ def sum_power_mse_batch(
     (budgets, trials) for an array; rows with no usable sensor get
     mse = +inf and active_count = 0, matching the outage convention.
     """
-    prefix = _waterfill_prefix(*_rank_batch(gamma, s))  # ranked arrays freed here
+    prefix = _waterfill_prefix(gamma, s)
     budgets = np.atleast_1d(total_power)
     mse = np.empty((budgets.size, gamma.shape[0]))
     active = np.empty(mse.shape, dtype=np.intp)
@@ -611,13 +616,23 @@ def equal_power_mse_batch(
 
     ``total_power`` is one budget or a 1-D array, as in sum_power_mse_batch.
     """
-    inv_gamma = 1.0 / gamma
-    denom = gamma.shape[1] * (1.0 + inv_gamma)
+    rows = _equal_rows(gamma, s)
     budgets = np.atleast_1d(total_power)
     mse = np.empty((budgets.size, gamma.shape[0]))
     for j, budget in enumerate(budgets):
-        mse[j] = _mse_from_total(_equal_total(s, inv_gamma, denom, budget), sigma_theta_sq)
+        mse[j] = _equal_mse(*rows, budget, sigma_theta_sq)
     return mse[0] if np.ndim(total_power) == 0 else mse
+
+
+def _equal_rows(gamma, s):
+    """Budget-independent arrays of the equal split: s, 1/gamma and denom = K (1 + 1/gamma)."""
+    inv_gamma = 1.0 / gamma
+    return s, inv_gamma, gamma.shape[1] * (1.0 + inv_gamma)
+
+
+def _equal_mse(s, inv_gamma, denom, budget, sigma_theta_sq) -> np.ndarray:
+    """Equal-split distortion per row from its ``_equal_rows`` arrays, one budget for every row."""
+    return _mse_from_total(_equal_total(s, inv_gamma, denom, budget), sigma_theta_sq)
 
 
 def _equal_total(s, inv_gamma, denom, budget) -> np.ndarray:
@@ -640,9 +655,7 @@ def _equal_budget_batch(
     required = sigma_theta_sq / d0
     feasible = np.where(s > 0, gamma, 0.0).sum(axis=1) > required
     rows = np.flatnonzero(feasible)
-    s = _take_rows(s, rows)
-    inv_gamma = 1.0 / _take_rows(gamma, rows)
-    denom = gamma.shape[1] * (1.0 + inv_gamma)
+    s, inv_gamma, denom = _equal_rows(_take_rows(gamma, rows), _take_rows(s, rows))
 
     def newton_step(budget: np.ndarray, live: np.ndarray) -> np.ndarray:
         s_l, inv_gamma_l, denom_l = (_take_rows(x, live) for x in (s, inv_gamma, denom))
@@ -726,7 +739,9 @@ def capped_mse_batch(
     and c solves B(c) = total_power on it.  An open segment with a finite
     cap has every live sensor at its cap: the caps cannot absorb the budget.
     The distortion sums each sensor's x/(x/gamma + 1), x = alpha' s.  +inf
-    marks rows with no usable sensor; cap_power may be +inf.
+    marks rows with no usable sensor, and rows whose segment has no sensor
+    at its cap and a budget that rounds away against the segment's offset
+    (the sum-power kernel's b == w); cap_power may be +inf.
     max_performance_with_caps, which clips iteratively, is its test reference.
     """
     eta = s / (1.0 + 1.0 / gamma)
@@ -744,13 +759,18 @@ def capped_mse_batch(
         j = np.where(stop.any(axis=1), stop.argmax(axis=1), last)
         rows = np.arange(gamma.shape[0])
         end = np.where(j < last, breaks[rows, np.minimum(j + 1, last)], np.inf)
-        c = (total_power + offset[rows, j] - capped[rows, j]) / slope[rows, j]
+        offset_j, capped_j = offset[rows, j], capped[rows, j]
+        numerator = total_power + offset_j
+        c = (numerator - capped_j) / slope[rows, j]
         # Clamp to the segment, dropping NaN: a flat segment (every on sensor capped) gives 0/0.
         c = np.fmin(np.fmax(c, breaks[rows, j]), end)
         if math.isfinite(cap_power):  # an open segment's slope is rounding left after the last cap
             c[np.isinf(end)] = np.inf
         x = np.fmin(gamma * np.maximum(c[:, None] * sqrt_eta - 1.0, 0.0), cap_power * eta)
         total = np.sum(x / (x / gamma + 1.0), axis=1)
+    # With no sensor at its cap the segment is _waterfill_mse's cut, and a budget that rounds
+    # away against offset = w leaves c reading noise: such rows are outages there too.
+    total[(numerator == offset_j) & (capped_j == 0)] = 0.0
     return _mse_from_total(total, sigma_theta_sq)
 
 

@@ -408,6 +408,21 @@ class TestBatchKernels:
         assert not feasible[0] and math.isinf(total[0])
         assert feasible[1] and math.isfinite(total[1])
 
+    def test_a_budget_that_rounds_away_is_an_outage(self):
+        # Row 0: gamma/eta + P == gamma/eta at the cut, where max_performance_allocation raises;
+        # the closed forms read 9.0e15 (sum-power) and 4.5e15 (unbounded caps), 2e30 exact.
+        # Row 1 resolves the same budget (gamma/eta = 2e-31) and keeps its finite distortion.
+        gamma, s, p_tot = np.array([[1.0], [1.0]]), np.array([[1.0], [1e31]]), 1e-30
+        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
+            ff.max_performance_allocation(snap([1.0], [1.0]), p_tot)
+        resolved = snap([1.0], [1e31])
+        exact = ff.blue_mse(resolved, ff.max_performance_allocation(resolved, p_tot)[0])
+        for mse in (sum_power_mse_batch(gamma, s, 1.0, p_tot)[0],
+                    sum_power_mse_batch(gamma, s, 1.0, np.array([p_tot, 1.0]))[0][0],
+                    capped_mse_batch(gamma, s, 1.0, p_tot, math.inf)):
+            assert math.isinf(mse[0])
+            assert mse[1] == pytest.approx(exact, rel=1e-12)
+
     def test_budget_array_equals_one_call_per_budget(self):
         rng = np.random.default_rng(31)
         gamma = 10 ** rng.uniform(-0.3, 2.3, (200, 5))

@@ -108,6 +108,47 @@ class TestSweepEqualsPoints:
         assert curve == [ff.OutageEstimate(500, 500)] * len(BUDGETS)
 
 
+def kernel_outage_counts(policy, k, s, gamma, d0, budgets):
+    """Outage counts from the public per-budget kernels, every trial at every budget."""
+    counts = []
+    for p_tot in budgets:
+        if isinstance(policy, ff.EqualPolicy):
+            mse = analysis.equal_power_mse_batch(gamma, s, 1.0, p_tot)
+        elif isinstance(policy, ff.OptimalPolicy):
+            mse = analysis.sum_power_mse_batch(gamma, s, 1.0, p_tot)[0]
+        else:
+            mse = analysis.capped_mse_batch(gamma, s, 1.0, p_tot, policy.cap_scale * p_tot / k)
+        counts.append(int(np.count_nonzero(mse > d0)))
+    return counts
+
+
+class TestOutageCountsAgainstKernels:
+    """Outage is counted on the shrinking set of trials still in outage; the per-budget
+    kernels, run on every trial at every budget, are its independent oracle."""
+
+    BUDGETS = (0.01, 0.001, 0.3, 0.003, 0.01, 1.0, 0.03, 0.001)  # unsorted, with repeats
+    # (K, d0): K=3 chunks are column-major and K=20 chunks row-major.  At d0 0.02 and 0.0015
+    # every trial is out of outage before the last budget; just above the floor (0.01/K)
+    # outage stays near 1 at every budget.
+    CASES = ((3, 0.02), (3, 0.003337), (20, 0.0015), (20, 0.0005005))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_counts_equal_the_per_budget_kernels(self, small_chunks, workers):
+        model, trials, seed = default_network(), 1500, 21  # 3 chunks at 700 trials
+        curves = [Curve("outage", k, self.BUDGETS, policy, d0)
+                  for k, d0 in self.CASES for policy in POLICIES]
+        sweep = estimate_sweep(model, curves, trials, seed, workers=workers)
+        samples = {k: ff.sample_batch(model, k, seed, 0, trials) for k in (3, 20)}
+        emptied = near_one = 0
+        for curve, results in zip(curves, sweep):
+            s, gamma = samples[curve.k]
+            want = kernel_outage_counts(curve.policy, curve.k, s, gamma, curve.d0, curve.points)
+            assert [est.count for est in results] == want, (curve.k, curve.policy, curve.d0)
+            emptied += want[self.BUDGETS.index(0.3)] == 0
+            near_one += min(want) >= 0.99 * trials
+        assert emptied == near_one == 2 * len(POLICIES)
+
+
 class TestBoundaryValidation:
     @pytest.mark.parametrize("p_tot", [0.0, -1.0, math.nan, math.inf])
     def test_bad_budget_is_rejected(self, p_tot):
