@@ -166,6 +166,10 @@ def _alpha_on_prefix(gamma, s, eta, order, k1: int, threshold) -> np.ndarray:
     return alpha
 
 
+class _BudgetRoundsAway(InternalConsistencyError):
+    """A sum-power budget below the closed form's resolution: gamma/eta + P rounds to gamma/eta."""
+
+
 def _waterfill_row(
     gamma: np.ndarray, s: np.ndarray, eta: np.ndarray, total_power: float
 ) -> tuple[np.ndarray, float]:
@@ -179,7 +183,7 @@ def _waterfill_row(
     b = w + total_power
     k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], "sum-power")[0])
     if k1 == 0 or b[k1 - 1] == w[k1 - 1]:  # the budget rounded away against w
-        raise InternalConsistencyError("sum-power budget is below the closed form's resolution")
+        raise _BudgetRoundsAway("sum-power budget is below the closed form's resolution")
     c0 = b[k1 - 1] / a[k1 - 1]
     return _alpha_on_prefix(gamma, s, eta, order, k1, c0), float(c0)
 
@@ -212,8 +216,10 @@ def max_performance_with_caps(
     clipped sensors and their power from the problem, repeat.  Terminates in
     at most K passes since each pass removes at least one sensor.  If the
     caps together cannot absorb the budget, everything ends up clipped and
-    the sum constraint is left slack at sum(caps).  ``capped_mse_batch`` solves
-    the same problem by one breakpoint scan and is tested against this loop.
+    the sum constraint is left slack at sum(caps).  A remainder that rounds
+    away against gamma/eta is left slack too where it could add at most 1e-12
+    of the fused SNR.  ``capped_mse_batch`` solves the same problem by one
+    breakpoint scan and is tested against this loop.
     """
     _check_budget(snapshot, total_power)
     k = snapshot.k
@@ -230,7 +236,12 @@ def max_performance_with_caps(
         idx = np.flatnonzero(free)
         if idx.size == 0 or budget <= budget_dust or not (eta[idx] > 0).any():
             break
-        sub_alpha, c0 = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
+        try:
+            sub_alpha, c0 = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
+        except _BudgetRoundsAway:  # it adds at most budget * eta; unclipped, the sum below is 0
+            if budget * eta[idx].max() > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
+                raise
+            break
         violated = sub_alpha >= limits[idx]
         if not violated.any():
             alpha[idx] = sub_alpha
@@ -590,38 +601,21 @@ def _mse_from_total(total: np.ndarray, sigma_theta_sq: float) -> np.ndarray:
 
 
 def sum_power_mse_batch(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power
+    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal-allocation distortion for a (trials, K) batch of snapshots.
+    """Optimal-allocation distortion for a (trials, K) batch of snapshots at one budget.
 
-    ``total_power`` is one budget or a 1-D array of budgets; the ranking and
-    the budget-independent prefix sums are computed once for all of them.
-    Returns (mse, active_count), each of shape (trials,) for one budget and
-    (budgets, trials) for an array; rows with no usable sensor get
-    mse = +inf and active_count = 0, matching the outage convention.
+    Returns (mse, active_count), each of shape (trials,); rows with no usable
+    sensor get mse = +inf and active_count = 0, matching the outage convention.
     """
-    prefix = _waterfill_prefix(gamma, s)
-    budgets = np.atleast_1d(total_power)
-    mse = np.empty((budgets.size, gamma.shape[0]))
-    active = np.empty(mse.shape, dtype=np.intp)
-    for j, budget in enumerate(budgets):
-        mse[j], active[j] = _waterfill_mse(*prefix, budget, sigma_theta_sq)
-    return (mse[0], active[0]) if np.ndim(total_power) == 0 else (mse, active)
+    return _waterfill_mse(*_waterfill_prefix(gamma, s), float(total_power), sigma_theta_sq)
 
 
 def equal_power_mse_batch(
-    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power
+    gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float
 ) -> np.ndarray:
-    """Equal-split distortion for a (trials, K) batch; +inf where undefined.
-
-    ``total_power`` is one budget or a 1-D array, as in sum_power_mse_batch.
-    """
-    rows = _equal_rows(gamma, s)
-    budgets = np.atleast_1d(total_power)
-    mse = np.empty((budgets.size, gamma.shape[0]))
-    for j, budget in enumerate(budgets):
-        mse[j] = _equal_mse(*rows, budget, sigma_theta_sq)
-    return mse[0] if np.ndim(total_power) == 0 else mse
+    """Equal-split distortion for a (trials, K) batch at one budget; +inf where undefined."""
+    return _equal_mse(*_equal_rows(gamma, s), float(total_power), sigma_theta_sq)
 
 
 def _equal_rows(gamma, s):

@@ -10,9 +10,10 @@ bound/sandwich checks used to validate those claims empirically.
 Trials are keyed by (seed, trial index) and processed in fixed-size chunks,
 so every estimate is bit-identical for a given seed regardless of how many
 worker processes execute the chunks.  ``estimate_sweep`` runs whole sweeps:
-each chunk is sampled, and ranked for the optimal policy, once per K for all
-points and policies, and one process pool serves the whole run.  The four
-estimators are one-point calls into it.
+each chunk is sampled once per K for all points and policies, each policy
+builds its per-row arrays once per chunk for all budgets (``_policy_rows``,
+the one dispatch on the policy), and one process pool serves the whole run.
+The four estimators are one-point calls into it.
 
 Outage curves are counted in ascending budget order on a shrinking set of
 trials: no policy's distortion rises with the budget, so each budget runs
@@ -39,7 +40,7 @@ from .allocation import (
     _waterfill_mse,
     _waterfill_prefix,
     capped_mse_batch,
-    equal_power_mse_batch,
+    equal_power_mse_batch,  # this and sum_power_mse_batch stay importable from here
     min_power_total_batch,
     sum_power_mse_batch,
 )
@@ -184,19 +185,6 @@ def _certain_outage(model: NetworkModel, curve: Curve) -> bool:
     return True
 
 
-def _policy_mse(policy: Policy, k: int, s: np.ndarray, gamma: np.ndarray, sigma_sq: float,
-                budgets: tuple[float, ...]) -> np.ndarray:
-    """Fused distortion per (budget, trial) of one chunk; +inf marks zero-power trials."""
-    if isinstance(policy, EqualPolicy):
-        return equal_power_mse_batch(gamma, s, sigma_sq, budgets)
-    if isinstance(policy, OptimalPolicy):
-        return sum_power_mse_batch(gamma, s, sigma_sq, budgets)[0]
-    if isinstance(policy, CappedPolicy):
-        return np.array([capped_mse_batch(gamma, s, sigma_sq, p, policy.cap_scale * p / k)
-                         for p in budgets])
-    raise TypeError(f"unknown policy {policy!r}")
-
-
 def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: float):
     """A policy's budget-independent per-row arrays, and its distortion at one budget from them.
 
@@ -209,9 +197,8 @@ def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
         return (_waterfill_prefix(gamma, s),
                 lambda budget, *prefix: _waterfill_mse(*prefix, budget, sigma_sq)[0])
     if isinstance(policy, CappedPolicy):
-        k = gamma.shape[1]
         return (gamma, s), lambda budget, gamma, s: capped_mse_batch(
-            gamma, s, sigma_sq, budget, policy.cap_scale * budget / k)
+            gamma, s, sigma_sq, budget, policy.cap_scale * budget / gamma.shape[1])
     raise TypeError(f"unknown policy {policy!r}")
 
 
@@ -249,12 +236,14 @@ def _curve_sums(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float)
     """Per-point partial sums of one curve over one chunk of trials.
 
     Outage curves count only the rows still in outage (``_outage_counts``);
-    distortion curves evaluate every budget on every row, since each row's
-    distortion enters the mean.
+    distortion and active curves evaluate every budget on every row, since
+    each row's value enters the sum.  Distortions are kept per budget and
+    stacked: reduced at once, they let glibc trim the heap between budgets.
     """
     n = s.shape[0]
     if curve.kind == "active":
-        return [(int(k1.sum()),) for k1 in sum_power_mse_batch(gamma, s, sigma_sq, curve.points)[1]]
+        prefix = _waterfill_prefix(gamma, s)
+        return [(int(_waterfill_mse(*prefix, p, sigma_sq)[1].sum()),) for p in curve.points]
     if curve.kind == "min-power":
         sums = []
         for d0 in curve.points:
@@ -267,10 +256,10 @@ def _curve_sums(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float)
         return sums
     if curve.kind == "outage":
         return _outage_counts(curve, s, gamma, sigma_sq)
-    mse = _policy_mse(curve.policy, curve.k, s, gamma, sigma_sq, curve.points)
-    finite = np.isfinite(mse)
+    rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
+    values = np.array([mse(p, *rows) for p in curve.points])
     return [(float(row[ok].sum()), int(ok.sum()), int(n - ok.sum()))
-            for row, ok in zip(mse, finite)]
+            for row, ok in zip(values, np.isfinite(values))]
 
 
 def _sweep_chunk(task) -> list:

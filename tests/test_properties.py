@@ -102,7 +102,7 @@ def test_optimal_beats_capped_beats_equal(snapshot, p_tot, cap_scale):
 @given(snapshots(), budgets, st.floats(1.0, 100.0))
 def test_optimal_distortion_does_not_grow_with_budget(snapshot, p_tot, factor):
     gamma, s = row_arrays(snapshot)
-    mse = sum_power_mse_batch(gamma, s, 1.0, np.array([p_tot, p_tot * factor]))[0][:, 0]
+    mse = [sum_power_mse_batch(gamma, s, 1.0, p)[0][0] for p in (p_tot, p_tot * factor)]
     assert mse[1] <= mse[0] * (1 + REL)
 
 

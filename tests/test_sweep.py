@@ -108,18 +108,19 @@ class TestSweepEqualsPoints:
         assert curve == [ff.OutageEstimate(500, 500)] * len(BUDGETS)
 
 
+def kernel_mse(policy, k, s, gamma, p_tot):
+    """Distortion of every trial at one budget from the public per-budget kernels."""
+    if isinstance(policy, ff.EqualPolicy):
+        return analysis.equal_power_mse_batch(gamma, s, 1.0, p_tot)
+    if isinstance(policy, ff.OptimalPolicy):
+        return analysis.sum_power_mse_batch(gamma, s, 1.0, p_tot)[0]
+    return analysis.capped_mse_batch(gamma, s, 1.0, p_tot, policy.cap_scale * p_tot / k)
+
+
 def kernel_outage_counts(policy, k, s, gamma, d0, budgets):
     """Outage counts from the public per-budget kernels, every trial at every budget."""
-    counts = []
-    for p_tot in budgets:
-        if isinstance(policy, ff.EqualPolicy):
-            mse = analysis.equal_power_mse_batch(gamma, s, 1.0, p_tot)
-        elif isinstance(policy, ff.OptimalPolicy):
-            mse = analysis.sum_power_mse_batch(gamma, s, 1.0, p_tot)[0]
-        else:
-            mse = analysis.capped_mse_batch(gamma, s, 1.0, p_tot, policy.cap_scale * p_tot / k)
-        counts.append(int(np.count_nonzero(mse > d0)))
-    return counts
+    return [int(np.count_nonzero(kernel_mse(policy, k, s, gamma, p_tot) > d0))
+            for p_tot in budgets]
 
 
 class TestOutageCountsAgainstKernels:
@@ -147,6 +148,41 @@ class TestOutageCountsAgainstKernels:
             emptied += want[self.BUDGETS.index(0.3)] == 0
             near_one += min(want) >= 0.99 * trials
         assert emptied == near_one == 2 * len(POLICIES)
+
+
+class TestDistortionAndActiveAgainstKernels:
+    """Distortion and active curves evaluate each policy's per-row arrays, built once per
+    chunk, at every budget; the public per-budget kernels, reduced chunk by chunk in the
+    same order, are their independent oracle."""
+
+    BUDGETS = TestOutageCountsAgainstKernels.BUDGETS  # unsorted, with repeats
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sums_equal_the_per_budget_kernels(self, small_chunks, workers):
+        model, trials, seed = default_network(), 1500, 23  # 3 chunks at 700 trials
+        # K=3 chunks are column-major and K=20 chunks row-major.
+        curves = [Curve("distortion", k, self.BUDGETS, policy) for k in (3, 20) for policy in POLICIES]
+        curves += [Curve("active", k, self.BUDGETS) for k in (3, 20)]
+        sweep = estimate_sweep(model, curves, trials, seed, workers=workers)
+        chunks = {k: [ff.sample_batch(model, k, seed, start, min(small_chunks, trials - start))
+                      for start in range(0, trials, small_chunks)] for k in (3, 20)}
+        for curve, results in zip(curves, sweep):
+            for p_tot, result in zip(curve.points, results):
+                total = finite = active = 0
+                for s, gamma in chunks[curve.k]:
+                    if curve.kind == "active":
+                        active += int(analysis.sum_power_mse_batch(gamma, s, 1.0, p_tot)[1].sum())
+                        continue
+                    mse = kernel_mse(curve.policy, curve.k, s, gamma, p_tot)
+                    ok = np.isfinite(mse)
+                    total += float(mse[ok].sum())
+                    finite += int(ok.sum())
+                if curve.kind == "active":
+                    want = active / (trials * curve.k)
+                else:
+                    want = ff.AverageDistortion(total / finite, trials - finite, trials)
+                assert result == want, (curve.kind, curve.k, curve.policy, p_tot)
+        assert all(min(results) < 1.0 for results in sweep[-2:])  # some sensors turn off
 
 
 class TestBoundaryValidation:
