@@ -288,9 +288,10 @@ def min_power_allocation(
     required = _check_target(snapshot, distortion_target)
 
     order, gamma_u, _, sqrt_eta, c = _rank_row(snapshot.gamma, snapshot.eta)
-    margin, *_, prefix_gamma = _min_power_scan(1.0 / sqrt_eta[None, :], gamma_u[None, :], required)
+    u = 1.0 / sqrt_eta[None, :]
+    _, lead, prefix_gamma = _min_power_scan(u, gamma_u[None, :])
     d = prefix_gamma[0] - required
-    k1 = int(_prefix_cut(margin, "min-power")[0])
+    k1 = int(_prefix_cut(1.0 - lead / (required * u), "min-power")[0])
     if not d[k1 - 1] > 0:
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     rho0 = float(c[k1 - 1] / d[k1 - 1])
@@ -539,19 +540,21 @@ def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
     return k1
 
 
-def _min_power_scan(u, gamma_r, required):
-    """Min-power scan over ranked rows: sensor m is active iff required*u_m > L_m.
+def _min_power_scan(u, gamma_r):
+    """Target-independent sums of the min-power scan over ranked rows.
 
-    u = 1/sqrt(eta) and L_m = sum_{j<m} gamma_j (u_m - u_j) sums non-negative steps, so
-    no gamma cancels against itself (1 - d/(sqrt(eta)*c) loses every digit next to a
-    gamma above ~1e16).  ``u`` and ``gamma_r`` are 0 on unusable sensors.  Returns the
-    margins 1 - L/(required*u), diff(u), L and cumsum(gamma).
+    Sensor m is active iff required*u_m > L_m, with u = 1/sqrt(eta) and
+    L_m = sum_{j<m} gamma_j (u_m - u_j): a sum of non-negative steps, so no
+    gamma cancels against itself (1 - d/(sqrt(eta)*c) loses every digit next
+    to a gamma above ~1e16).  ``u`` and ``gamma_r`` are 0 on unusable sensors.
+    Returns diff(u), L and cumsum(gamma); a target's margins are
+    1 - L/(required*u).
     """
     prefix_gamma = _cumsum_sensors(gamma_r)
     du = u[:, 1:] - u[:, :-1]
     lead = np.zeros(u.shape, order=_layout(u))  # not zeros_like: 1.4 us more on a scalar solve
     _cumsum_sensors(prefix_gamma[:, :-1] * du, out=lead[:, 1:])
-    return 1.0 - lead / (required * u), du, lead, prefix_gamma
+    return du, lead, prefix_gamma
 
 
 def _waterfill_prefix(gamma, s):
@@ -625,41 +628,42 @@ def _equal_rows(gamma, s):
 
 
 def _equal_mse(s, inv_gamma, denom, budget, sigma_theta_sq) -> np.ndarray:
-    """Equal-split distortion per row from its ``_equal_rows`` arrays, one budget for every row."""
-    return _mse_from_total(_equal_total(s, inv_gamma, denom, budget), sigma_theta_sq)
+    """Equal-split distortion per row from its ``_equal_rows`` arrays, one budget for every row.
 
-
-def _equal_total(s, inv_gamma, denom, budget) -> np.ndarray:
-    """Fused SNR total per row under the equal split, denom = K (1 + 1/gamma).
-
-    ``budget`` is one total budget for every row or a (rows, 1) column of one per row.
+    The fused SNR total is sum(P s / (P s/gamma + denom)), denom = K (1 + 1/gamma).
     """
     ps = budget * s
-    return np.sum(ps / (inv_gamma * ps + denom), axis=1)
+    return _mse_from_total(np.sum(ps / (inv_gamma * ps + denom), axis=1), sigma_theta_sq)
 
 
 def _equal_budget_batch(
     gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, d0: float
 ) -> np.ndarray:
-    """Smallest uniform budget meeting the target per row; +inf at or below the row's floor.
-
-    The fused SNR total f(P) is increasing and concave with f(0) = 0, so
-    Newton steps from P = 0 stay below the root and rise to it.
-    """
+    """Smallest uniform budget meeting the target per row; +inf at or below the row's floor."""
     required = sigma_theta_sq / d0
     feasible = np.where(s > 0, gamma, 0.0).sum(axis=1) > required
-    rows = np.flatnonzero(feasible)
-    s, inv_gamma, denom = _equal_rows(_take_rows(gamma, rows), _take_rows(s, rows))
+    budget = np.full(gamma.shape[0], np.inf)
+    budget[feasible] = _equal_budget(*_equal_rows(gamma, s), np.flatnonzero(feasible), required)
+    return budget
+
+
+def _equal_budget(s, inv_gamma, denom, rows, required) -> np.ndarray:
+    """Smallest uniform budget giving fused SNR ``required`` on ``rows`` of ``_equal_rows`` arrays.
+
+    Every row must lie above its floor.  The fused SNR total f(P) is
+    increasing and concave with f(0) = 0, so Newton steps from P = 0 stay
+    below the root and rise to it.  Rows are solved independently.
+    """
+    s, inv_gamma, denom = (_take_rows(x, rows) for x in (s, inv_gamma, denom))
 
     def newton_step(budget: np.ndarray, live: np.ndarray) -> np.ndarray:
         s_l, inv_gamma_l, denom_l = (_take_rows(x, live) for x in (s, inv_gamma, denom))
-        column = budget[:, None]
-        slope = np.sum(s_l * denom_l / (inv_gamma_l * (column * s_l) + denom_l) ** 2, axis=1)
-        return budget + (required - _equal_total(s_l, inv_gamma_l, denom_l, column)) / slope
+        ps = budget[:, None] * s_l
+        q = inv_gamma_l * ps + denom_l  # the fused SNR total is sum(ps / q), as in _equal_mse
+        slope = np.sum(s_l * denom_l / q**2, axis=1)
+        return budget + (required - np.sum(ps / q, axis=1)) / slope
 
-    budget = np.full(gamma.shape[0], np.inf)
-    budget[feasible] = _monotone_newton(np.zeros(s.shape[0]), newton_step, 1.0, "equal-power budget")
-    return budget
+    return _monotone_newton(np.zeros(rows.size), newton_step, 1.0, "equal-power budget")
 
 
 def min_power_total_batch(
@@ -670,16 +674,30 @@ def min_power_total_batch(
     Returns (total_power, active_count, feasible); infeasible rows (target at
     or below the row's floor) carry total_power = +inf.
     """
-    required = sigma_theta_sq / distortion_target
+    return _min_power_total(*_min_power_rows(gamma, s), sigma_theta_sq / distortion_target)
+
+
+def _min_power_rows(gamma, s):
+    """Target-independent arrays of the min-power kernel, each row ranked by merit once.
+
+    Returns g = gamma and u = 1/sqrt(eta) on usable sensors (0 elsewhere), the
+    usable mask, ``_min_power_scan``'s diff(u), L and cumsum(g), and each
+    row's sensor-ordered total of live gamma (gamma where s > 0).
+    """
     eta_r, gamma_r, usable = _rank_batch(gamma, s)
     g = np.where(usable, gamma_r, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(usable, 1.0 / np.sqrt(eta_r), 0.0)
-        margin, du, lead, prefix_gamma = _min_power_scan(u, g, required)
+    return g, u, usable, *_min_power_scan(u, g), np.where(s > 0, gamma, 0.0).sum(axis=1)
+
+
+def _min_power_total(g, u, usable, du, lead, prefix_gamma, live_total, required):
+    """``min_power_total_batch`` from its ``_min_power_rows`` arrays at fused SNR ``required``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = 1.0 - lead / (required * u)
     # The divisor below needs the merit-ordered total above the requirement, and the equal-split
     # budget of the same row needs the sensor-ordered sum there; within rounding of the floor
     # they can disagree, so a row is feasible only when both are.
-    live_total = np.where(s > 0, gamma, 0.0).sum(axis=1)
     feasible = (prefix_gamma[:, -1] > required) & (live_total > required)
     k1 = _prefix_cut(np.where(usable & feasible[:, None], margin, -1.0), "min-power")
     d = prefix_gamma[np.arange(g.shape[0]), np.maximum(k1 - 1, 0)] - required
@@ -687,6 +705,7 @@ def min_power_total_batch(
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
     # P_k = gamma_k u_k (required u_k - L_k + R_k) / d on the active prefix, R_k = sum_{k<j<=k1}
     # gamma_j (u_j - u_k) summed like L; rho0*c - w loses every digit next to a huge gamma.
+    g = g.copy(order="K")
     g[np.arange(g.shape[1]) >= k1[:, None]] = 0.0
     steps = _cumsum_sensors(g[:, :0:-1])[:, ::-1] * du  # (gamma over active j > i)(u_{i+1} - u_i)
     trail = np.zeros(g.shape, order=_layout(g))
@@ -703,7 +722,8 @@ def _spend_breakpoints(eta, sqrt_eta, gamma, cap_power):
     (+inf for a dead sensor or an unbounded cap).  Returns the sorted breakpoints and, up to
     and including each, the sums of B's slope and offset and of the capped power; B(c) =
     slope * c - offset + capped on the segment after it.  The capped power keeps its own
-    sum: added to the offset it would round to the ulp of gamma/eta.  The sort order and
+    sum: added to the offset it would round to the ulp of gamma/eta.  Only finite cap
+    breakpoints add to it: a dead sensor never spends its cap.  The sort order and
     the unsorted breakpoints die with this call, before the scan allocates.
     """
     k = gamma.shape[1]
@@ -712,7 +732,7 @@ def _spend_breakpoints(eta, sqrt_eta, gamma, cap_power):
     order, permute = _row_sorter(breaks)
     breaks = permute(breaks)
     sums = [permute(np.concatenate([step, -step], axis=1)) for step in (rise, fall)]
-    sums.append(np.where(order >= k, cap_power, 0.0))
+    sums.append(np.where((order >= k) & np.isfinite(breaks), cap_power, 0.0))
     for steps in sums:
         _cumsum_sensors(steps, out=steps)
     return breaks, *sums
@@ -733,9 +753,11 @@ def capped_mse_batch(
     and c solves B(c) = total_power on it.  An open segment with a finite
     cap has every live sensor at its cap: the caps cannot absorb the budget.
     The distortion sums each sensor's x/(x/gamma + 1), x = alpha' s.  +inf
-    marks rows with no usable sensor, and rows whose segment has no sensor
-    at its cap and a budget that rounds away against the segment's offset
-    (the sum-power kernel's b == w); cap_power may be +inf.
+    marks rows with no usable sensor, rows whose segment has no sensor at
+    its cap and a budget that rounds away against the segment's offset (the
+    sum-power kernel's b == w), and rows whose segment caps more power than
+    the budget by more than rounding, which only a budget that rounds away
+    reaches; cap_power may be +inf.
     max_performance_with_caps, which clips iteratively, is its test reference.
     """
     eta = s / (1.0 + 1.0 / gamma)
@@ -763,8 +785,12 @@ def capped_mse_batch(
         x = np.fmin(gamma * np.maximum(c[:, None] * sqrt_eta - 1.0, 0.0), cap_power * eta)
         total = np.sum(x / (x / gamma + 1.0), axis=1)
     # With no sensor at its cap the segment is _waterfill_mse's cut, and a budget that rounds
-    # away against offset = w leaves c reading noise: such rows are outages there too.
-    total[(numerator == offset_j) & (capped_j == 0)] = 0.0
+    # away against offset = w leaves c reading noise: such rows are outages there too.  In exact
+    # arithmetic a segment's capped power stays below the budget, and its running sum of at
+    # most K caps rounds by less than K ulps; more is a budget that rounded away against the
+    # breakpoints, which lands on a later segment and spends caps the budget does not hold.
+    overspent = capped_j > total_power * (1.0 + gamma.shape[1] * np.finfo(float).eps)
+    total[((numerator == offset_j) & (capped_j == 0)) | overspent] = 0.0
     return _mse_from_total(total, sigma_theta_sq)
 
 

@@ -7,19 +7,26 @@ optimal with per-sensor caps), evaluates the large-deviation rate function
 that governs how outage decays with the sensor count, and provides the
 bound/sandwich checks used to validate those claims empirically.
 
-Trials are keyed by (seed, trial index) and processed in fixed-size chunks,
-so every estimate is bit-identical for a given seed regardless of how many
-worker processes execute the chunks.  ``estimate_sweep`` runs whole sweeps:
-each chunk is sampled once per K for all points and policies, each policy
-builds its per-row arrays once per chunk for all budgets (``_policy_rows``,
-the one dispatch on the policy), and one process pool serves the whole run.
-The four estimators are one-point calls into it.
+Trials are keyed by (seed, trial index).  A chunk of ``CHUNK_TRIALS``
+trials is the unit of work and of reduction: its boundaries do not depend on
+the worker count, and each float sum is taken once per chunk, over the
+per-row values of the whole chunk in trial order, so every estimate is
+bit-identical for a given seed at any worker count.  Within its task a chunk
+is sampled and evaluated in blocks of at most ``_BLOCK_VALUES`` sensor-values
+(trials x K), which bounds a process's memory at any K; counts add up over
+the blocks, and the blocks' per-row values are joined before a float sum.
+
+``estimate_sweep`` runs whole sweeps: each block is sampled once per K for
+all points and policies, each policy builds its per-row arrays once per
+block for all budgets (``_policy_rows``, the one dispatch on the policy),
+min-power curves rank each block once for all targets, and one process pool
+serves the whole run.  The four estimators are one-point calls into it.
 
 Outage curves are counted in ascending budget order on a shrinking set of
 trials: no policy's distortion rises with the budget, so each budget runs
 only on the trials still in outage at the one below it.  Each trial's
 distortion is the per-budget kernel's, bit for bit, so every count equals
-``count_nonzero(mse > d0)`` over the whole chunk.
+``count_nonzero(mse > d0)`` over the whole block.
 """
 
 from __future__ import annotations
@@ -33,15 +40,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .allocation import (
-    _equal_budget_batch,
+    _equal_budget,
     _equal_mse,
     _equal_rows,
+    _min_power_rows,
+    _min_power_total,
     _take_rows,
     _waterfill_mse,
     _waterfill_prefix,
     capped_mse_batch,
     equal_power_mse_batch,  # this and sum_power_mse_batch stay importable from here
-    min_power_total_batch,
     sum_power_mse_batch,
 )
 from .channel import NetworkModel, sample_batch
@@ -52,6 +60,11 @@ from .model import Snapshot, equal_allocation, signal_contributions
 #: floating-point reduction order (and hence every digit of the output)
 #: does not depend on parallelism.
 CHUNK_TRIALS = 1 << 16
+
+#: Sensor-values (trials x K) per block at most.  A chunk is sampled and
+#: evaluated one block at a time, so a process's temporaries stay bounded at
+#: any K.  Blocks are powers of two, so they divide CHUNK_TRIALS.
+_BLOCK_VALUES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
 
 
 def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float) -> list:
-    """Outage count of one chunk at each point of an outage curve.
+    """Outage count of one block at each point of an outage curve.
 
     No policy's distortion rises with the budget, so a row out of outage at
     one budget stays out at every larger one.  The distinct budgets run in
@@ -211,10 +224,12 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     budget below it, until no row is left.  The per-row arrays are gathered
     down to those rows once they are at most 3/4 of the rows held: a gather
     after every shrink cost more than it saved on slowly falling curves.
-    Each budget's distortions are kept until the chunk is counted: freed at
+    Each budget's distortions are kept until the block is counted: freed at
     once, they let glibc's malloc trim the heap after every budget, and the
-    next budget page-faulted its temporaries back in (+22% on a K=100 capped
-    chunk in outage at every budget).
+    next budget page-faults its temporaries back in.  In fresh processes, on
+    a chunk in outage at all of 8 budgets, freeing them made capped curves
+    slower (+24% at K=3, +6% at K=20, +7% at K=100) and equal-split curves
+    faster (-26% at K=3, -8% at K=20, -10% at K=100).
     """
     rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     counts = dict.fromkeys(curve.points, 0)
@@ -232,41 +247,56 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     return [(counts[p],) for p in curve.points]
 
 
-def _curve_sums(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float) -> list:
-    """Per-point partial sums of one curve over one chunk of trials.
+def _curve_rows(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float) -> list:
+    """Per-point parts of one curve over one block of trials, for ``_curve_sums``.
 
-    Outage curves count only the rows still in outage (``_outage_counts``);
-    distortion and active curves evaluate every budget on every row, since
-    each row's value enters the sum.  Distortions are kept per budget and
-    stacked: reduced at once, they let glibc trim the heap between budgets.
+    Each part is a tuple whose entries are counts or 1-D arrays of per-row
+    values in trial order.  Outage curves count only the rows still in outage
+    (``_outage_counts``); distortion and active curves evaluate every budget
+    on every row, since each row's value enters the sum.
     """
-    n = s.shape[0]
     if curve.kind == "active":
         prefix = _waterfill_prefix(gamma, s)
         return [(int(_waterfill_mse(*prefix, p, sigma_sq)[1].sum()),) for p in curve.points]
     if curve.kind == "min-power":
-        sums = []
-        for d0 in curve.points:
-            optimal, _, feasible = min_power_total_batch(gamma, s, sigma_sq, d0)
+        optimal_rows, equal_rows, parts = _min_power_rows(gamma, s), _equal_rows(gamma, s), []
+        for required in [sigma_sq / d0 for d0 in curve.points]:
+            optimal, _, feasible = _min_power_total(*optimal_rows, required)
             # Rows are solved independently, and every row feasible here has a finite equal budget.
-            equal = _equal_budget_batch(gamma, s, sigma_sq, d0)[feasible]
-            n_feasible = int(feasible.sum())
-            sums.append((float(optimal[feasible].sum()), float(equal.sum()), n_feasible,
-                         n - n_feasible))
-        return sums
+            rows = np.flatnonzero(feasible)
+            parts.append((optimal[rows], _equal_budget(*equal_rows, rows, required), rows.size))
+        return parts
     if curve.kind == "outage":
         return _outage_counts(curve, s, gamma, sigma_sq)
     rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     values = np.array([mse(p, *rows) for p in curve.points])
-    return [(float(row[ok].sum()), int(ok.sum()), int(n - ok.sum()))
-            for row, ok in zip(values, np.isfinite(values))]
+    return [(row[ok], int(ok.sum())) for row, ok in zip(values, np.isfinite(values))]
+
+
+def _curve_sums(blocks: Sequence[tuple]) -> tuple:
+    """One point's partial sums over a chunk from its ``_curve_rows`` part in each block.
+
+    Counts add up; per-row values are joined in trial order and summed once,
+    as one array over the whole chunk, so no float sum depends on the block size.
+    """
+    return tuple(float(np.concatenate(parts).sum()) if isinstance(parts[0], np.ndarray)
+                 else sum(parts) for parts in zip(*blocks))
+
+
+def _block_rows(k: int) -> int:
+    """Trials per block: the largest power of two whose trials x K stay within _BLOCK_VALUES."""
+    return 1 << (max(_BLOCK_VALUES // k, 1).bit_length() - 1)
 
 
 def _sweep_chunk(task) -> list:
-    """Sample one chunk of trials once and evaluate every curve of its K on it."""
+    """Every curve of one (K, chunk) task, sampled and evaluated one block of trials at a time."""
     model, curves, seed, start, n = task
-    s, gamma = sample_batch(model, curves[0].k, seed, start, n)
-    return [_curve_sums(curve, s, gamma, model.prior.variance_theta) for curve in curves]
+    k, sigma_sq = curves[0].k, model.prior.variance_theta
+    step, blocks = _block_rows(k), []
+    for offset in range(0, n, step):
+        s, gamma = sample_batch(model, k, seed, start + offset, min(step, n - offset))
+        blocks.append([_curve_rows(curve, s, gamma, sigma_sq) for curve in curves])
+    return [[_curve_sums(point) for point in zip(*curve)] for curve in zip(*blocks)]
 
 
 def _summarize(curve: Curve, trials: int, sums: list):
@@ -275,12 +305,12 @@ def _summarize(curve: Curve, trials: int, sums: list):
     if curve.kind == "active":
         return sums[0] / (trials * curve.k)
     if curve.kind == "distortion":
-        total, finite, excluded = sums
-        return AverageDistortion(total / finite if finite else math.nan, excluded, trials)
-    sum_opt, sum_eq, feasible, infeasible = sums
+        total, finite = sums
+        return AverageDistortion(total / finite if finite else math.nan, trials - finite, trials)
+    sum_opt, sum_eq, feasible = sums
     if feasible == 0:
-        return MinPowerSummary(math.nan, math.nan, infeasible, trials)
-    return MinPowerSummary(sum_opt / feasible, sum_eq / feasible, infeasible, trials)
+        return MinPowerSummary(math.nan, math.nan, trials, trials)
+    return MinPowerSummary(sum_opt / feasible, sum_eq / feasible, trials - feasible, trials)
 
 
 def estimate_sweep(

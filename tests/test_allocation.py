@@ -405,6 +405,18 @@ class TestBatchKernels:
         x = cap * s / (1.0 + 1.0 / gamma)
         assert capped_mse_batch(gamma, s, 1.0, 1e-2, cap)[0] == 1.0 / np.sum(x / (x / gamma + 1.0))
 
+    def test_caps_that_round_above_the_budget_are_not_an_overspend(self):
+        # Two caps of 1.5 P/3 sum to P plus one ulp, and the scan lands on the segment where
+        # both are capped: that is rounding, not a budget that rounded away.
+        gamma = np.array([[100.0, 100.0, 100.0]])
+        s = np.array([[16699.86323353335, 10467.67094415904, 223078.92748800467]])
+        p_tot, cap = 0.003, 1.5 * 0.003 / 3
+        assert 2 * cap > p_tot
+        row = snap(gamma[0], s[0])
+        capped, _ = ff.max_performance_with_caps(row, p_tot, ff.CapVector.uniform(3, cap))
+        mse = capped_mse_batch(gamma, s, 1.0, p_tot, cap)[0]
+        assert mse == pytest.approx(ff.blue_mse(row, capped), rel=1e-12)
+
     def test_unbounded_caps_give_the_uncapped_optimum(self):
         # Every cap breakpoint sits at +inf, so the scan solves on the open segment after the
         # last sensor turns on.  Rows: all sensors on, a dead sensor, a dead row.
@@ -429,6 +441,8 @@ class TestBatchKernels:
     def test_a_budget_that_rounds_away_is_an_outage(self):
         # Row 0: gamma/eta + P == gamma/eta at the cut, where max_performance_allocation raises;
         # the closed forms read 9.0e15 (sum-power) and 4.5e15 (unbounded caps), 2e30 exact.
+        # With a 1.5e-30 W cap its cap breakpoint rounds onto its turn-on breakpoint, and the
+        # scan spent the whole cap, 1.5x the budget: 1.33e30.
         # Row 1 resolves the same budget (gamma/eta = 2e-31) and keeps its finite distortion.
         gamma, s, p_tot = np.array([[1.0], [1.0]]), np.array([[1.0], [1e31]]), 1e-30
         with pytest.raises(ff.InternalConsistencyError, match="resolution"):
@@ -436,7 +450,8 @@ class TestBatchKernels:
         resolved = snap([1.0], [1e31])
         exact = ff.blue_mse(resolved, ff.max_performance_allocation(resolved, p_tot)[0])
         for mse in (sum_power_mse_batch(gamma, s, 1.0, p_tot)[0],
-                    capped_mse_batch(gamma, s, 1.0, p_tot, math.inf)):
+                    capped_mse_batch(gamma, s, 1.0, p_tot, math.inf),
+                    capped_mse_batch(gamma, s, 1.0, p_tot, 1.5 * p_tot)):
             assert math.isinf(mse[0])
             assert mse[1] == pytest.approx(exact, rel=1e-12)
 

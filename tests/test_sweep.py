@@ -3,6 +3,10 @@ policy, input validation at the boundary, and the process-pool budget."""
 
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,57 @@ class TestDistortionAndActiveAgainstKernels:
                     want = ff.AverageDistortion(total / finite, trials - finite, trials)
                 assert result == want, (curve.kind, curve.k, curve.policy, p_tot)
         assert all(min(results) < 1.0 for results in sweep[-2:])  # some sensors turn off
+
+
+@needs_fork
+class TestBlocksChangeNoByte:
+    """Each chunk is sampled and evaluated in blocks of trials.  Counts add up over the
+    blocks and float sums run once over the chunk's per-row values, so the block size must
+    change no byte of any estimate; one block per chunk is the reference."""
+
+    CASES = ((3, 0.02), (20, 0.0015), (100, 0.001))  # (K, outage threshold d0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_match_one_block_per_chunk(self, monkeypatch, pools, small_chunks, workers):
+        model, trials, seed = default_network(), 1500, 29  # chunks of 700, 700 and 100 trials
+        curves = []
+        for k, d0 in self.CASES:
+            curves += [Curve("outage", k, BUDGETS, policy, d0) for policy in POLICIES]
+            curves += [Curve("distortion", k, BUDGETS, policy) for policy in POLICIES]
+            curves += [Curve("active", k, BUDGETS), Curve("min-power", k, (0.012 / k, 0.03 / k))]
+        monkeypatch.setattr(analysis, "_BLOCK_VALUES", 1 << 62)
+        want = estimate_sweep(model, curves, trials, seed, workers=workers)
+        # 2^11 values: blocks of 512, 64 and 16 trials, so every chunk ends on a short block.
+        monkeypatch.setattr(analysis, "_BLOCK_VALUES", 1 << 11)
+        assert [analysis._block_rows(k) for k, _ in self.CASES] == [512, 64, 16]
+        assert estimate_sweep(model, curves, trials, seed, workers=workers) == want
+        assert pools == ([2, 2] if workers == 2 else [])
+        assert all(any(0 < est.count < trials for est in results)  # no trivial outage curve
+                   for curve, results in zip(curves, want) if curve.kind == "outage")
+
+
+# Peak RSS of this process since it started, in KiB.  Not ru_maxrss: Linux carries the
+# launching process's peak across exec into it, and a long pytest run peaks high.
+PEAK_RSS_RUN = """
+import fadefusion as ff
+from fadefusion.analysis import CHUNK_TRIALS, Curve, estimate_sweep
+
+curve = Curve("outage", 100, (0.01,), ff.CappedPolicy(1.5), 0.0009)
+estimate_sweep(ff.default_network(), [curve], CHUNK_TRIALS, 1)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_capped_k100_chunk_runs_in_bounded_memory():
+    # Evaluated whole, this chunk's capped scan held five (65 536, 200) arrays: ~900 MB peak.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_RUN], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 200 * 1024
 
 
 class TestBoundaryValidation:
