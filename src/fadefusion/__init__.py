@@ -4,14 +4,10 @@ outage and diversity simulation."""
 from .allocation import (
     AllocationDiagnostics,
     CapVector,
-    RankedView,
     l2_min_power_allocation,
     max_performance_allocation,
     max_performance_with_caps,
     min_power_allocation,
-    numeric_reference_allocation,
-    optimality_certificate,
-    rank_sensors,
 )
 from .analysis import (
     AverageDistortion,

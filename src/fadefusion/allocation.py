@@ -14,15 +14,13 @@ binding constraint.
 * ``l2_min_power_allocation`` -- minimize the sum of squared transmit
   powers under the distortion target (Newton on the dual multiplier).
 
-``numeric_reference_allocation`` solves the first two problems by
-projected gradient descent and exists purely as an independent correctness
-oracle for tests.
-
 Each closed-form problem has one row path, the public solver, and one batch
 path for Monte Carlo chunks (the ``*_batch`` kernels), and every scan over
 the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
 separate from the batch kernels because they are the kernels' independent
-test reference.
+test reference.  They share one ranking per snapshot, its cached
+``Snapshot.merit_order``; the capped clipping loop ranks once and drops
+clipped sensors from the ranked arrays instead of re-sorting the rest.
 
 A chunk is a (trials, K) array, and the batch kernels keep the memory order
 they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
@@ -54,19 +52,6 @@ from .errors import (
     NoUsableSensor,
 )
 from .model import Allocation, Snapshot, _frozen_vector, distortion_floor
-
-
-@dataclass(frozen=True)
-class RankedView:
-    """Sensor indices ordered by descending merit, ties broken by original index."""
-
-    order: tuple[int, ...]
-    merits: tuple[float, ...]
-    usable: int  # leading entries with merit > 0; only these can receive power
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of 0..K-1")
 
 
 @dataclass(frozen=True)
@@ -111,18 +96,6 @@ class CapVector:
         return self.caps / (1.0 + snapshot.inv_gamma)
 
 
-def rank_sensors(snapshot: Snapshot) -> RankedView:
-    """Rank sensors by descending merit; ties keep ascending original index."""
-    eta = snapshot.eta
-    order = np.argsort(-eta, kind="stable")
-    merits = eta[order]
-    return RankedView(
-        order=tuple(int(i) for i in order),
-        merits=tuple(float(m) for m in merits),
-        usable=int(np.count_nonzero(merits > 0)),
-    )
-
-
 def _require_finite_gamma(snapshot: Snapshot) -> None:
     if np.isinf(snapshot.gamma).any():
         raise ValueError(
@@ -144,18 +117,15 @@ def _check_budget(snapshot: Snapshot, total_power: float) -> None:
         raise NoUsableSensor("all channel merits are zero")
 
 
-def _rank_row(gamma: np.ndarray, eta: np.ndarray):
-    """One snapshot ranked by descending merit, cut to its usable sensors.
+def _rank_row(snapshot: Snapshot):
+    """The snapshot's usable sensors in its cached merit order.
 
-    Returns (order, gamma_u, eta_u, sqrt_eta, a) with a = cumsum(gamma/sqrt(eta)).
+    Returns (order, gamma, eta, sqrt(eta), gamma/sqrt(eta)), all but order ranked.
     """
-    order = np.argsort(-eta, kind="stable")
-    eta_r = eta[order]
-    usable = int(np.count_nonzero(eta_r > 0))
-    gamma_u = gamma[order[:usable]]
-    eta_u = eta_r[:usable]
+    order = snapshot.merit_order
+    gamma_u, eta_u = snapshot.gamma[order], snapshot.eta[order]
     sqrt_eta = np.sqrt(eta_u)
-    return order, gamma_u, eta_u, sqrt_eta, np.add.accumulate(gamma_u / sqrt_eta)
+    return order, gamma_u, eta_u, sqrt_eta, gamma_u / sqrt_eta
 
 
 def _alpha_on_prefix(gamma, s, eta, order, k1: int, threshold) -> np.ndarray:
@@ -170,22 +140,17 @@ class _BudgetRoundsAway(InternalConsistencyError):
     """A sum-power budget below the closed form's resolution: gamma/eta + P rounds to gamma/eta."""
 
 
-def _waterfill_row(
-    gamma: np.ndarray, s: np.ndarray, eta: np.ndarray, total_power: float
-) -> tuple[np.ndarray, float]:
-    """Closed-form optimal budgets for one snapshot given as arrays.
+def _waterfill_cut(sqrt_eta, a, w, total_power: float):
+    """Cutoff k1 and threshold c0 of a ranked waterfill at one budget.
 
-    Returns (alpha_prime, threshold) where ``threshold`` is the constant c
-    such that sensor k is active iff c * sqrt(eta_k) > 1.
+    ``a`` and ``w`` are cumsum(gamma/sqrt(eta)) and cumsum(gamma/eta) over
+    the ranked sensors; sensor k is active iff c0 * sqrt(eta_k) > 1.
     """
-    order, gamma_u, eta_u, sqrt_eta, a = _rank_row(gamma, eta)
-    w = np.add.accumulate(gamma_u / eta_u)  # np.cumsum without its call overhead
     b = w + total_power
     k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], "sum-power")[0])
     if k1 == 0 or b[k1 - 1] == w[k1 - 1]:  # the budget rounded away against w
         raise _BudgetRoundsAway("sum-power budget is below the closed form's resolution")
-    c0 = b[k1 - 1] / a[k1 - 1]
-    return _alpha_on_prefix(gamma, s, eta, order, k1, c0), float(c0)
+    return k1, b[k1 - 1] / a[k1 - 1]
 
 
 def max_performance_allocation(
@@ -198,7 +163,13 @@ def max_performance_allocation(
     shut off entirely.
     """
     _check_budget(snapshot, total_power)
-    alpha, c0 = _waterfill_row(snapshot.gamma, snapshot.s, snapshot.eta, total_power)
+    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
+    # np.add.accumulate is np.cumsum without its call overhead
+    k1, c0 = _waterfill_cut(
+        sqrt_eta, np.add.accumulate(rise), np.add.accumulate(gamma_u / eta_u), total_power
+    )
+    alpha = _alpha_on_prefix(snapshot.gamma, snapshot.s, snapshot.eta, order, k1, c0)
+    c0 = float(c0)
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
         threshold_constant=c0,
@@ -214,43 +185,59 @@ def max_performance_with_caps(
 
     Iterates: solve without caps, clip every violator to its cap, remove the
     clipped sensors and their power from the problem, repeat.  Terminates in
-    at most K passes since each pass removes at least one sensor.  If the
-    caps together cannot absorb the budget, everything ends up clipped and
-    the sum constraint is left slack at sum(caps).  A remainder that rounds
-    away against gamma/eta is left slack too where it could add at most 1e-12
-    of the fused SNR.  ``capped_mse_batch`` solves the same problem by one
-    breakpoint scan and is tested against this loop.
+    at most K passes since each pass removes at least one sensor.  The
+    sensors are ranked once, by the snapshot's cached ``merit_order``, and
+    each pass runs on the ranked per-sensor terms of the sensors still free:
+    a stable ranking of a subset is the full ranking with entries removed,
+    so each pass makes the same additions, in the same order, as a fresh
+    waterfill over the free sensors.  If the caps together cannot absorb the budget, everything ends
+    up clipped and the sum constraint is left slack at sum(caps).  A
+    remainder that rounds away against gamma/eta is left slack too where it
+    could add at most 1e-12 of the fused SNR.  ``capped_mse_batch`` solves
+    the same problem by one breakpoint scan and is tested against this loop.
     """
     _check_budget(snapshot, total_power)
-    k = snapshot.k
     limits = caps.alpha_limits(snapshot)
     gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
+    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
+    # The free sensors' terms in rank order: gamma/sqrt(eta), gamma/eta, sqrt(eta), gamma/s and
+    # the alpha limits, one row each, so that one gather drops the clipped sensors from all.
+    ranked = np.array((rise, gamma_u / eta_u, sqrt_eta, gamma_u / s[order], limits[order]))
 
-    alpha = np.zeros(k)
-    free = np.ones(k, dtype=bool)
+    alpha = np.zeros(snapshot.k)
+    # Dead sensors are not ranked.  One whose alpha limit rounds to 0 already sits at it, so it
+    # counts as clipped in the first pass, and its cap comes off the budget.
+    pending = np.flatnonzero((eta == 0) & (limits == 0))
     budget = float(total_power)
     budget_dust = total_power * 1e-14  # clipping can leave rounding residue
     threshold = math.nan
 
-    for _ in range(k + 1):
-        idx = np.flatnonzero(free)
-        if idx.size == 0 or budget <= budget_dust or not (eta[idx] > 0).any():
+    for _ in range(snapshot.k + 1):
+        if order.size == 0 or budget <= budget_dust:
             break
+        a, w = np.add.accumulate(ranked[:2], axis=1)
+        sqrt_eta, gain, limit = ranked[2:]
         try:
-            sub_alpha, c0 = _waterfill_row(gamma[idx], s[idx], eta[idx], budget)
+            k1, c0 = _waterfill_cut(sqrt_eta, a, w, budget)
         except _BudgetRoundsAway:  # it adds at most budget * eta; unclipped, the sum below is 0
-            if budget * eta[idx].max() > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
+            if budget * eta[order[0]] > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
                 raise
             break
-        violated = sub_alpha >= limits[idx]
-        if not violated.any():
-            alpha[idx] = sub_alpha
-            threshold = c0
+        sub_alpha = np.zeros(order.size)
+        sub_alpha[:k1] = gain[:k1] * np.maximum(c0 * sqrt_eta[:k1] - 1.0, 0.0)
+        violated = sub_alpha >= limit
+        clipped = order[violated]
+        if pending.size:
+            clipped, pending = np.concatenate((clipped, pending)), pending[:0]
+        if not clipped.size:
+            alpha[order] = sub_alpha
+            threshold = float(c0)
             break
-        clipped = idx[violated]
+        clipped.sort()  # the caps add up by sensor index, not in rank order
         alpha[clipped] = limits[clipped]
-        budget = max(budget - float(np.sum(caps.caps[clipped])), 0.0)
-        free[clipped] = False
+        budget = max(budget - float(np.add.reduce(caps.caps[clipped])), 0.0)
+        keep = ~violated
+        order, ranked = order[keep], ranked.compress(keep, axis=1)
     else:
         raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
 
@@ -287,7 +274,8 @@ def min_power_allocation(
     _require_finite_gamma(snapshot)
     required = _check_target(snapshot, distortion_target)
 
-    order, gamma_u, _, sqrt_eta, c = _rank_row(snapshot.gamma, snapshot.eta)
+    order, gamma_u, _, sqrt_eta, rise = _rank_row(snapshot)
+    c = np.add.accumulate(rise)
     u = 1.0 / sqrt_eta[None, :]
     _, lead, prefix_gamma = _min_power_scan(u, gamma_u[None, :])
     d = prefix_gamma[0] - required
@@ -367,96 +355,6 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
     alpha = np.zeros(snapshot.k)
     alpha[usable] = lam * half_eta_sq * cubic_root(lam) ** 2 / snapshot.s[usable]
     return Allocation(alpha)
-
-
-# ---------------------------------------------------------------------------
-# Numeric reference solver (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def _project_budget_box(
-    x: np.ndarray, weights: np.ndarray, upper: np.ndarray, budget: float
-) -> np.ndarray:
-    """Euclidean projection onto {0 <= a <= upper, weights . a <= budget}."""
-    clipped = np.clip(x, 0.0, upper)
-    if float(weights @ clipped) <= budget:
-        return clipped
-    lo, hi = 0.0, float(np.max(x / weights)) + 1.0
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        value = float(weights @ np.clip(x - tau * weights, 0.0, upper))
-        if value > budget:
-            lo = tau
-        else:
-            hi = tau
-    return np.clip(x - hi * weights, 0.0, upper)
-
-
-#: Relative objective decrease below which a projected-gradient step counts as small.
-_REF_STEP_TOL = 1e-12
-#: Iteration budget of the projected-gradient reference solver.
-_REF_MAX_ITER = 50_000
-
-
-def numeric_reference_allocation(
-    snapshot: Snapshot, total_power: float, caps: Optional[CapVector] = None
-) -> Allocation:
-    """Sum-power (optionally capped) optimum via projected gradient descent.
-
-    Independent of the closed forms: spectral (Barzilai-Borwein) step sizes
-    with Armijo backtracking on the projected path, stopping once the
-    relative objective decrease stays below ``_REF_STEP_TOL`` for five
-    steps.  Used only as a test oracle; prefer the closed-form solvers
-    everywhere else.
-    """
-    _check_budget(snapshot, total_power)
-    s = snapshot.s
-    inv_gamma = snapshot.inv_gamma
-    weights = 1.0 + inv_gamma
-    upper = caps.alpha_limits(snapshot) if caps is not None else np.full(snapshot.k, np.inf)
-
-    def objective(a: np.ndarray) -> float:
-        x = a * s
-        return -float(np.sum(x / (inv_gamma * x + 1.0)))
-
-    def gradient(a: np.ndarray) -> np.ndarray:
-        return -s / (inv_gamma * a * s + 1.0) ** 2
-
-    x = _project_budget_box(
-        np.full(snapshot.k, total_power / snapshot.k) / weights, weights, upper, total_power
-    )
-    fx = objective(x)
-    grad = gradient(x)
-    step = 1.0 / max(float(np.max(np.abs(grad))), 1e-300)
-    small_decreases = 0
-
-    for _ in range(_REF_MAX_ITER):
-        direction = _project_budget_box(x - step * grad, weights, upper, total_power) - x
-        slope = float(grad @ direction)
-        if slope >= 0 or float(np.max(np.abs(direction))) < 1e-300:
-            break
-        scale = 1.0
-        fnew = objective(x + direction)
-        while fnew > fx + 1e-4 * scale * slope and scale > 1e-20:
-            scale *= 0.5
-            fnew = objective(x + scale * direction)
-        x_new = x + scale * direction
-        grad_new = gradient(x_new)
-        dx = x_new - x
-        dg = grad_new - grad
-        curvature = float(dx @ dg)
-        step = float(dx @ dx) / curvature if curvature > 0 else step * 2.0
-        step = min(max(step, 1e-300), 1e300)
-
-        decrease = fx - fnew
-        x, fx, grad = x_new, fnew, grad_new
-        small_decreases = small_decreases + 1 if decrease < _REF_STEP_TOL * max(1.0, abs(fx)) else 0
-        if small_decreases >= 5:
-            break
-    else:
-        raise ConvergenceFailure("projected gradient reference solver exhausted its budget")
-
-    return Allocation(x)
 
 
 # ---------------------------------------------------------------------------
@@ -794,40 +692,13 @@ def capped_mse_batch(
     return _mse_from_total(total, sigma_theta_sq)
 
 
-def optimality_certificate(
-    snapshot: Snapshot, allocation: Allocation, diagnostics: AllocationDiagnostics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationarity and complementarity residuals of a sum-power solution.
-
-    Returns (stationarity_relative, complementarity_slack): the first is the
-    relative mismatch of the active-sensor stationarity equation, the second
-    is the margin by which inactive sensors satisfy the threshold inequality
-    (negative entries mean a violation).
-    """
-    s = snapshot.s
-    inv_gamma = snapshot.inv_gamma
-    alpha = allocation.alpha_prime
-    lam = diagnostics.dual_value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        marginal = np.where(s > 0, 1.0 / s / (inv_gamma * alpha + 1.0 / np.where(s > 0, s, 1.0)) ** 2, 0.0)
-    target = lam * (1.0 + inv_gamma)
-    active = alpha > 0
-    stationarity = np.where(active, np.abs(marginal - target) / target, 0.0)
-    complementarity = np.where(active, 0.0, target - marginal)
-    return stationarity, complementarity
-
-
 __all__ = [
-    "RankedView",
     "AllocationDiagnostics",
     "CapVector",
-    "rank_sensors",
     "max_performance_allocation",
     "max_performance_with_caps",
     "min_power_allocation",
     "l2_min_power_allocation",
-    "numeric_reference_allocation",
-    "optimality_certificate",
     "sum_power_mse_batch",
     "equal_power_mse_batch",
     "min_power_total_batch",

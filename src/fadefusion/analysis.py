@@ -224,12 +224,12 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     budget below it, until no row is left.  The per-row arrays are gathered
     down to those rows once they are at most 3/4 of the rows held: a gather
     after every shrink cost more than it saved on slowly falling curves.
-    Each budget's distortions are kept until the block is counted: freed at
-    once, they let glibc's malloc trim the heap after every budget, and the
-    next budget page-faults its temporaries back in.  In fresh processes, on
-    a chunk in outage at all of 8 budgets, freeing them made capped curves
-    slower (+24% at K=3, +6% at K=20, +7% at K=100) and equal-split curves
-    faster (-26% at K=3, -8% at K=20, -10% at K=100).
+    Each budget's distortions are kept until the block is counted.  Freeing
+    each at once instead was measured on one 65 536-trial chunk in outage at
+    all of 8 budgets (fresh processes, 10 interleaved runs, medians): capped
+    curves -1%, +5% and -2% at K=3, 20 and 100, equal-split curves +12%, -4%
+    and -2%, optimal curves -10%, +1% and -11%.  Most of these lie inside
+    the runs' quartile spread, so neither rule is clearly faster.
     """
     rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     counts = dict.fromkeys(curve.points, 0)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 import fadefusion as ff
+from fadefusion.allocation import _check_budget
 
 
 def random_snapshot(rng: np.random.Generator, k: int | None = None, kmax: int = 8) -> ff.Snapshot:
@@ -97,3 +100,110 @@ def l2_grid_oracle(snapshot: ff.Snapshot, d0: float, n_grid: int = 2001) -> floa
             for r1 in grid1:
                 best = min(best, sum_sq(np.array([r0, r1, rest - r1])))
     return best
+
+
+def _project_budget_box(
+    x: np.ndarray, weights: np.ndarray, upper: np.ndarray, budget: float
+) -> np.ndarray:
+    """Euclidean projection onto {0 <= a <= upper, weights . a <= budget}."""
+    clipped = np.clip(x, 0.0, upper)
+    if float(weights @ clipped) <= budget:
+        return clipped
+    lo, hi = 0.0, float(np.max(x / weights)) + 1.0
+    for _ in range(200):
+        tau = 0.5 * (lo + hi)
+        value = float(weights @ np.clip(x - tau * weights, 0.0, upper))
+        if value > budget:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(x - hi * weights, 0.0, upper)
+
+
+#: Relative objective decrease below which a projected-gradient step counts as small.
+_REF_STEP_TOL = 1e-12
+#: Iteration budget of the projected-gradient reference solver.
+_REF_MAX_ITER = 50_000
+
+
+def numeric_reference_allocation(
+    snapshot: ff.Snapshot, total_power: float, caps: Optional[ff.CapVector] = None
+) -> ff.Allocation:
+    """Sum-power (optionally capped) optimum via projected gradient descent.
+
+    Independent of the closed forms: spectral (Barzilai-Borwein) step sizes
+    with Armijo backtracking on the projected path, stopping once the
+    relative objective decrease stays below ``_REF_STEP_TOL`` for five
+    steps.  It validates its input as the closed-form solvers do.
+    """
+    _check_budget(snapshot, total_power)
+    s = snapshot.s
+    inv_gamma = snapshot.inv_gamma
+    weights = 1.0 + inv_gamma
+    upper = caps.alpha_limits(snapshot) if caps is not None else np.full(snapshot.k, np.inf)
+
+    def objective(a: np.ndarray) -> float:
+        x = a * s
+        return -float(np.sum(x / (inv_gamma * x + 1.0)))
+
+    def gradient(a: np.ndarray) -> np.ndarray:
+        return -s / (inv_gamma * a * s + 1.0) ** 2
+
+    x = _project_budget_box(
+        np.full(snapshot.k, total_power / snapshot.k) / weights, weights, upper, total_power
+    )
+    fx = objective(x)
+    grad = gradient(x)
+    step = 1.0 / max(float(np.max(np.abs(grad))), 1e-300)
+    small_decreases = 0
+
+    for _ in range(_REF_MAX_ITER):
+        direction = _project_budget_box(x - step * grad, weights, upper, total_power) - x
+        slope = float(grad @ direction)
+        if slope >= 0 or float(np.max(np.abs(direction))) < 1e-300:
+            break
+        scale = 1.0
+        fnew = objective(x + direction)
+        while fnew > fx + 1e-4 * scale * slope and scale > 1e-20:
+            scale *= 0.5
+            fnew = objective(x + scale * direction)
+        x_new = x + scale * direction
+        grad_new = gradient(x_new)
+        dx = x_new - x
+        dg = grad_new - grad
+        curvature = float(dx @ dg)
+        step = float(dx @ dx) / curvature if curvature > 0 else step * 2.0
+        step = min(max(step, 1e-300), 1e300)
+
+        decrease = fx - fnew
+        x, fx, grad = x_new, fnew, grad_new
+        small_decreases = small_decreases + 1 if decrease < _REF_STEP_TOL * max(1.0, abs(fx)) else 0
+        if small_decreases >= 5:
+            break
+    else:
+        raise ff.ConvergenceFailure("projected gradient reference solver exhausted its budget")
+
+    return ff.Allocation(x)
+
+
+def optimality_certificate(
+    snapshot: ff.Snapshot, allocation: ff.Allocation, diagnostics: ff.AllocationDiagnostics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationarity and complementarity residuals of a sum-power solution.
+
+    Returns (stationarity_relative, complementarity_slack): the first is the
+    relative mismatch of the active-sensor stationarity equation, the second
+    is the margin by which inactive sensors satisfy the threshold inequality
+    (negative entries mean a violation).
+    """
+    s = snapshot.s
+    inv_gamma = snapshot.inv_gamma
+    alpha = allocation.alpha_prime
+    lam = diagnostics.dual_value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        marginal = np.where(s > 0, 1.0 / s / (inv_gamma * alpha + 1.0 / np.where(s > 0, s, 1.0)) ** 2, 0.0)
+    target = lam * (1.0 + inv_gamma)
+    active = alpha > 0
+    stationarity = np.where(active, np.abs(marginal - target) / target, 0.0)
+    complementarity = np.where(active, 0.0, target - marginal)
+    return stationarity, complementarity

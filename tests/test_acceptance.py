@@ -13,7 +13,7 @@ import pytest
 
 import fadefusion as ff
 from fadefusion.channel import default_network
-from helpers import random_snapshot
+from helpers import numeric_reference_allocation, optimality_certificate, random_snapshot
 
 
 def report(number: int, ok: bool, message: str) -> None:
@@ -49,10 +49,10 @@ def test_criterion_02_sum_power_solver_vs_numeric_reference():
         snap = random_snapshot(rng, kmax=8)
         p_tot = float(10 ** rng.uniform(-1, 2))
         alloc, diag = ff.max_performance_allocation(snap, p_tot)
-        reference = ff.numeric_reference_allocation(snap, p_tot)
+        reference = numeric_reference_allocation(snap, p_tot)
         closed = ff.blue_mse(snap, alloc)
         worst_mse = max(worst_mse, abs(closed - ff.blue_mse(snap, reference)) / closed)
-        stationarity, complementarity = ff.optimality_certificate(snap, alloc, diag)
+        stationarity, complementarity = optimality_certificate(snap, alloc, diag)
         worst_stationarity = max(worst_stationarity, float(np.max(stationarity)))
         worst_complementarity = max(
             worst_complementarity, float(-np.min(complementarity) / diag.dual_value)
@@ -89,7 +89,7 @@ def test_criterion_03_capped_solver_vs_box_reference():
         caps = ff.CapVector.uniform(k, scale * p_tot / k)
         alloc, _ = ff.max_performance_with_caps(snap, p_tot, caps)  # raises after K passes
         closed = ff.blue_mse(snap, alloc)
-        reference = ff.numeric_reference_allocation(snap, p_tot, caps)
+        reference = numeric_reference_allocation(snap, p_tot, caps)
         worst = max(worst, abs(closed - ff.blue_mse(snap, reference)) / closed)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 60.0

@@ -15,7 +15,13 @@ from fadefusion.allocation import (
     min_power_total_batch,
     sum_power_mse_batch,
 )
-from helpers import l2_grid_oracle, min_power_dual_oracle, random_snapshot
+from helpers import (
+    l2_grid_oracle,
+    min_power_dual_oracle,
+    numeric_reference_allocation,
+    optimality_certificate,
+    random_snapshot,
+)
 
 
 def snap(gamma, s, sig=1.0):
@@ -25,22 +31,40 @@ def snap(gamma, s, sig=1.0):
 class TestRanking:
     def test_descending_merit(self):
         s1 = snap([1.0] * 3, [6.0, 2.0, 4.0])  # eta = (3, 1, 2)
-        assert ff.rank_sensors(s1).order == (0, 2, 1)
+        np.testing.assert_array_equal(s1.merit_order, [0, 2, 1])
 
     def test_ties_keep_original_order(self):
-        s1 = snap([1.0] * 3, [4.0, 4.0, 4.0])
-        assert ff.rank_sensors(s1).order == (0, 1, 2)
+        s1 = snap([1.0] * 4, [4.0, 2.0, 4.0, 4.0])
+        np.testing.assert_array_equal(s1.merit_order, [0, 2, 3, 1])
 
-    def test_random_orders_are_sorted_bijections(self):
+    def test_random_orders_hold_the_usable_sensors(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            s1 = random_snapshot(rng)
-            view = ff.rank_sensors(s1)
-            merits = np.array(view.merits)
-            assert np.all(np.diff(merits) <= 0)
-            assert sorted(view.order) == list(range(s1.k))
-            assert merits == pytest.approx(sorted(s1.eta, reverse=True))
-            assert view.usable == int(np.count_nonzero(s1.eta > 0))
+            live = random_snapshot(rng)
+            s1 = snap(live.gamma, np.where(rng.random(live.k) < 0.3, 0.0, live.s))
+            order = s1.merit_order
+            merits = s1.eta[order]
+            assert np.all(np.diff(merits) <= 0) and np.all(merits > 0)
+            assert sorted(order) == list(np.flatnonzero(s1.eta > 0))
+            assert merits == pytest.approx(sorted(s1.eta[s1.eta > 0], reverse=True))
+
+    def test_merit_order_is_a_cached_read_only_array(self):
+        s1 = snap([1.0, 2.0, 3.0, 1.0, 5.0], [1.0, 0.0, 2.0, 1.0, 0.0])  # sensors 1 and 4 dead
+        order = s1.merit_order
+        np.testing.assert_array_equal(order, [2, 0, 3])  # eta = (0.5, 0, 1.5, 0.5, 0)
+        assert s1.merit_order is order
+        assert not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 1
+        assert snap([1.0, 1.0], [0.0, 0.0]).merit_order.size == 0
+
+    def test_every_row_solver_reads_the_cached_ranking(self, monkeypatch):
+        s1 = snap([1.0, 2.0, 3.0], [6.0, 2.0, 4.0])
+        s1.merit_order  # the ranking is made here, once
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: pytest.fail("a row solver re-sorted"))
+        ff.max_performance_allocation(s1, 1.0)
+        ff.max_performance_with_caps(s1, 1.0, ff.CapVector.uniform(3, 0.4))
+        ff.min_power_allocation(s1, 2.0 * ff.distortion_floor(s1))
 
 
 class TestMaxPerformance:
@@ -63,7 +87,7 @@ class TestMaxPerformance:
         alloc, diag = ff.max_performance_allocation(s1, 10.0)
         assert alloc.alpha_prime[3] == 0.0
         assert diag.active_count == 3
-        reference = ff.numeric_reference_allocation(s1, 10.0)
+        reference = numeric_reference_allocation(s1, 10.0)
         assert ff.blue_mse(s1, alloc) == pytest.approx(
             ff.blue_mse(s1, reference), rel=1e-6
         )
@@ -82,7 +106,7 @@ class TestMaxPerformance:
             s1 = random_snapshot(rng)
             p_tot = float(10 ** rng.uniform(-1, 2))
             alloc, diag = ff.max_performance_allocation(s1, p_tot)
-            stationarity, complementarity = ff.optimality_certificate(s1, alloc, diag)
+            stationarity, complementarity = optimality_certificate(s1, alloc, diag)
             assert np.max(stationarity) <= 1e-8
             assert np.min(complementarity) >= -1e-8 * diag.dual_value
 
@@ -160,7 +184,7 @@ class TestMaxPerformanceWithCaps:
             uncapped, _ = ff.max_performance_allocation(s1, p_tot)
             assert capped_mse >= ff.blue_mse(s1, uncapped) * (1 - 1e-12)
             assert capped_mse <= ff.equal_power_mse(s1, p_tot) * (1 + 1e-12)
-            reference = ff.numeric_reference_allocation(s1, p_tot, caps)
+            reference = numeric_reference_allocation(s1, p_tot, caps)
             assert capped_mse == pytest.approx(ff.blue_mse(s1, reference), rel=1e-6)
 
     def test_insufficient_caps_leave_budget_slack(self):
@@ -178,7 +202,7 @@ class TestMaxPerformanceWithCaps:
         alloc, diag = ff.max_performance_with_caps(s1, 1.0, caps)
         np.testing.assert_array_equal(alloc.alpha_prime, caps.alpha_limits(s1) * [1, 1, 0])
         assert diag.active_count == 2 and math.isnan(diag.threshold_constant)
-        reference = ff.numeric_reference_allocation(s1, 1.0, caps)
+        reference = numeric_reference_allocation(s1, 1.0, caps)
         assert ff.blue_mse(s1, alloc) == pytest.approx(ff.blue_mse(s1, reference), rel=1e-12)
         # With nothing clipped, a budget below the resolution still raises, and so does a
         # remainder that could add more than 1e-12 of the fused SNR (here half the budget).
@@ -198,6 +222,111 @@ class TestMaxPerformanceWithCaps:
             powers = alloc.transmit_powers(s1)
             assert np.all(powers <= cap * (1 + 1e-12))
             assert powers.sum() == pytest.approx(min(p_tot, cap * s1.k), rel=1e-10)
+
+
+#: max_performance_with_caps results recorded from the clipping loop that re-ranked its free
+#: sensors on every pass: (gamma, s, total power, caps) -> (alpha' as float.hex, active count,
+#: threshold and dual value as float.hex), or the exception's type name and message.
+PINNED_CAPPED = {
+    "per-sensor caps, merit ties and a dead sensor": (
+        ((10.0, 10.0, 5.0, 20.0, 10.0), (2.0, 2.0, 0.0, 1.0, 2.0), 1.0,
+         (0.3, 0.2, 0.5, 1.0, 0.25)),
+        (["0x1.1745d1745d174p-2", "0x1.745d1745d1746p-3", "0x0.0p+0", "0x1.e79e79e79e820p-3",
+          "0x1.d1745d1745d17p-3"],
+         4, "0x1.0971dfb69201ap+0", "0x1.dc3690eb459ffp-1"),
+    ),
+    "five clip passes": (
+        ((5.06, 13.21, 1.67, 4.16, 85.54, 55.67, 12.54, 2.3),
+         (5.291, 1.733, 0.423, 0.27, 1.03, 0.3, 0.258, 7.524), 2.85,
+         (0.3457, 1.05, 0.6122, 0.1564, 0.5806, 0.1747, 0.1296, 0.1645)),
+        (["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c17765p-2", "0x0.0p+0",
+          "0x1.25d5095143130p-1", "0x1.5f78dc0f6a955p-3", "0x1.eba2dba91a14ap-4",
+          "0x1.d59cd3c033a26p-4"],
+         7, "0x1.08d00e428cbd1p+1", "0x1.de7d41a90d553p-3"),
+    ),
+    "six clip passes": (
+        ((2.21, 26.64, 20.76, 17.04, 57.88, 1.93, 91.55, 21.5, 36.37, 8.42, 38.85, 4.34),
+         (1.976, 1.621, 7.036, 0.174, 2.561, 5.304, 0.114, 6.917, 4.59, 7.123, 2.147, 5.047),
+         3.75,
+         (0.1763, 0.31, 0.1213, 0.1205, 0.914, 0.2977, 0.7349, 0.4182, 0.3353, 0.1525, 0.4453,
+          0.9602)),
+        (["0x0.0p+0", "0x1.31f487af0746bp-2", "0x1.da03092e0b3a6p-4", "0x0.0p+0",
+          "0x1.cc052a1e18c11p-1", "0x1.919abac37ca1bp-3", "0x0.0p+0", "0x1.99343cd6d94e7p-2",
+          "0x1.4e28cffdffbfdp-2", "0x1.172a3e22bdf90p-3", "0x1.bc8b6b9472868p-2",
+          "0x1.3a76369c3a565p-1"],
+         9, "0x1.b15c5a02fab6ep-1", "0x1.6556da2ff5709p+0"),
+    ),
+    "nine clip passes at K=20 with ties and dead sensors": (
+        ((0.25, 3.33, 0.34, 44.65, 210.0, 210.0, 210.0, 14.39, 0.72, 0.98, 2.09, 6.76, 0.21,
+          102.55, 20.71, 1.58, 0.2, 112.91, 0.33, 0.34),
+         (0.025, 0.018, 5.238, 0.0, 0.083, 0.083, 0.083, 0.036, 0.202, 4.485, 0.134, 0.0, 0.02,
+          1.52, 2.135, 3.001, 1.053, 0.129, 0.016, 0.36),
+         0.76,
+         (0.02707, 0.0311, 0.05113, 0.07559, 0.09932, 0.02401, 0.02674, 0.08306, 0.06243,
+          0.07187, 0.11945, 0.10743, 0.08999, 0.0797, 0.03943, 0.06205, 0.02675, 0.07716,
+          0.0769, 0.07192)),
+        (["0x0.0p+0", "0x0.0p+0", "0x1.a91bca5a78b25p-7", "0x0.0p+0", "0x1.8222670b73450p-5",
+          "0x1.8783f688d860ap-6", "0x1.b40825399e228p-6", "0x0.0p+0", "0x1.ac2bcb78ddc55p-6",
+          "0x1.2367eeed7353fp-5", "0x1.4aeda5170ad57p-4", "0x0.0p+0", "0x0.0p+0",
+          "0x1.434c71629184ap-4", "0x1.3421d3bd9060ap-5", "0x1.374af6910617ep-5",
+          "0x1.242e6bdc80576p-8", "0x1.3945d7d071e46p-4", "0x0.0p+0", "0x1.2afb296da4585p-6"],
+         13, "0x1.bd5bffb506eccp+1", "0x1.52581b9055a37p-4"),
+    ),
+    "a 5e-324 cap whose alpha limit rounds to 0": (
+        ((1.0, 2.0, 4.0), (1.0, 1.0, 1.0), 0.5, (5e-324, 0.3, 0.4)),
+        (["0x0.0p+0", "0x1.1111111111120p-4", "0x1.47ae147ae147bp-2"], 2,
+         "0x1.43fc603a308b1p+0", "0x1.3faac16606ecfp-1"),
+    ),
+    "every cap 5e-324": (
+        ((1.0, 1.0), (1.0, 2.0), 1.0, (5e-324, 5e-324)),
+        (["0x0.0p+0", "0x0.0p+0"], 0, "nan", "nan"),
+    ),
+    "a dead sensor whose alpha limit rounds to 0": (
+        ((1.0, 1e-308), (1000000.0, 0.0), 1e-15, (math.inf, 2e-16)),
+        (["0x1.cd2b2bfdb4cc2p-52", "0x0.0p+0"], 1, "0x1.72ba440270593p-10",
+         "0x1.e847fff972473p+18"),
+    ),
+    "a 1e-13 W remainder after clipping is dust": (
+        ((1.0, 1.0, 1.0), (100.0, 100.0, 0.001), 1.0, (0.5, 0.4999999999999, 1.0)),
+        (["0x1.0000000000000p-2", "0x1.ffffffffff8f7p-3", "0x0.0p+0"], 2, "nan", "nan"),
+    ),
+    "a budget below the resolution with nothing clipped": (
+        ((1.0,), (1.0,), 1e-30, (math.inf,)),
+        ("_BudgetRoundsAway", "sum-power budget is below the closed form's resolution"),
+    ),
+    "a remainder that could add more than 1e-12 of the fused SNR": (
+        ((1.0, 1.0), (100.0, 0.001), 1e-13, (5e-14, 1.0)),
+        ("_BudgetRoundsAway", "sum-power budget is below the closed form's resolution"),
+    ),
+    "caps that cannot absorb the budget": (
+        ((10.0, 20.0), (1.0, 2.0), 10.0, (0.5, 0.5)),
+        (["0x1.d1745d1745d17p-2", "0x1.e79e79e79e79ep-2"], 2, "nan", "nan"),
+    ),
+    "unbounded caps shut a poor sensor off": (
+        ((50.0, 80.0, 60.0, 90.0), (8.0, 5.0, 4.0, 0.02), 10.0, (math.inf,) * 4),
+        (["0x1.da0884cc08706p+1", "0x1.0dff4532f4944p+2", "0x1.eb4b9f90b2cbap+0", "0x0.0p+0"],
+         3, "0x1.23263c5eaa3afp-1", "0x1.8bd6b2e9c3823p+1"),
+    ),
+    "uniform caps clip the tied leaders": (
+        ((5.0, 5.0, 5.0, 1.0), (2.0, 2.0, 2.0, 2.0), 6.0, (1.6, 1.6, 1.6, 1.6)),
+        (["0x1.5555555555556p+0", "0x1.5555555555556p+0", "0x1.5555555555556p+0",
+          "0x1.3333333333330p-1"],
+         4, "0x1.1999999999998p+1", "0x1.a723f789854a6p-3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CAPPED)
+def test_capped_allocations_keep_their_bytes(name):
+    (gamma, s, total_power, caps), expected = PINNED_CAPPED[name]
+    try:
+        alloc, diag = ff.max_performance_with_caps(snap(gamma, s), total_power, ff.CapVector(caps))
+    except ff.InternalConsistencyError as exc:
+        assert (type(exc).__name__, str(exc)) == expected
+        return
+    alphas = [x.hex() for x in alloc.alpha_prime.tolist()]
+    threshold, dual = diag.threshold_constant.hex(), diag.dual_value.hex()
+    assert (alphas, diag.active_count, threshold, dual) == expected
 
 
 class TestMinPower:
@@ -333,12 +462,12 @@ class TestL2MinPower:
 class TestNumericReference:
     def test_single_sensor(self):
         s1 = snap([100.0], [1.0])
-        alloc = ff.numeric_reference_allocation(s1, 101.0)
+        alloc = numeric_reference_allocation(s1, 101.0)
         assert alloc.alpha_prime[0] == pytest.approx(100.0, rel=1e-8)
 
     def test_homogeneous_equal_split(self):
         s1 = snap([5.0] * 4, [2.0] * 4)
-        alloc = ff.numeric_reference_allocation(s1, 6.0)
+        alloc = numeric_reference_allocation(s1, 6.0)
         assert alloc.alpha_prime == pytest.approx(
             ff.equal_allocation(s1, 6.0).alpha_prime, rel=1e-8, abs=1e-10
         )
@@ -349,14 +478,14 @@ class TestNumericReference:
             s1 = random_snapshot(rng)
             p_tot = float(10 ** rng.uniform(-1, 1.5))
             closed, _ = ff.max_performance_allocation(s1, p_tot)
-            reference = ff.numeric_reference_allocation(s1, p_tot)
+            reference = numeric_reference_allocation(s1, p_tot)
             assert ff.blue_mse(s1, reference) == pytest.approx(
                 ff.blue_mse(s1, closed), rel=1e-6
             )
 
     def test_no_usable_sensor(self):
         with pytest.raises(ff.NoUsableSensor):
-            ff.numeric_reference_allocation(snap([1.0], [0.0]), 1.0)
+            numeric_reference_allocation(snap([1.0], [0.0]), 1.0)
 
 
 class TestBatchKernels:

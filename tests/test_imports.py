@@ -1,4 +1,4 @@
-"""The import path: scipy loads only where its math runs."""
+"""The import path: scipy and numpy.random load only where they are used."""
 
 import os
 import subprocess
@@ -13,6 +13,10 @@ import sys
 import fadefusion.cli
 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], f"importing fadefusion.cli loaded {loaded}"
+# numpy.random (~6 MB resident) loads at the first sample; a sweep's parent process forks its
+# workers before that and never samples itself.
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.random"))
 assert loaded == [], f"importing fadefusion.cli loaded {loaded}"
 
 import dataclasses
