@@ -18,9 +18,9 @@ Each closed-form problem has one row path, the public solver, and one batch
 path for Monte Carlo chunks (the ``*_batch`` kernels), and every scan over
 the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
 separate from the batch kernels because they are the kernels' independent
-test reference.  They share one ranking per snapshot, its cached
-``Snapshot.merit_order``; the capped clipping loop ranks once and drops
-clipped sensors from the ranked arrays instead of re-sorting the rest.
+test reference.  Each row solver ranks its snapshot once, in
+``_rank_row``; the capped clipping loop then drops clipped sensors from the
+ranked arrays instead of re-sorting the rest.
 
 A chunk is a (trials, K) array, and the batch kernels keep the memory order
 they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
@@ -118,11 +118,11 @@ def _check_budget(snapshot: Snapshot, total_power: float) -> None:
 
 
 def _rank_row(snapshot: Snapshot):
-    """The snapshot's usable sensors in its cached merit order.
+    """The snapshot's usable sensors (eta > 0) by descending merit, ties by index.
 
     Returns (order, gamma, eta, sqrt(eta), gamma/sqrt(eta)), all but order ranked.
     """
-    order = snapshot.merit_order
+    order = np.argsort(-snapshot.eta, kind="stable")[: np.count_nonzero(snapshot.eta)]
     gamma_u, eta_u = snapshot.gamma[order], snapshot.eta[order]
     sqrt_eta = np.sqrt(eta_u)
     return order, gamma_u, eta_u, sqrt_eta, gamma_u / sqrt_eta
@@ -186,11 +186,11 @@ def max_performance_with_caps(
     Iterates: solve without caps, clip every violator to its cap, remove the
     clipped sensors and their power from the problem, repeat.  Terminates in
     at most K passes since each pass removes at least one sensor.  The
-    sensors are ranked once, by the snapshot's cached ``merit_order``, and
-    each pass runs on the ranked per-sensor terms of the sensors still free:
-    a stable ranking of a subset is the full ranking with entries removed,
-    so each pass makes the same additions, in the same order, as a fresh
-    waterfill over the free sensors.  If the caps together cannot absorb the budget, everything ends
+    sensors are ranked once per call, and each pass runs on the ranked
+    per-sensor terms of the sensors still free: a stable ranking of a subset
+    is the full ranking with entries removed, so each pass makes the same
+    additions, in the same order, as a fresh waterfill over the free
+    sensors.  If the caps together cannot absorb the budget, everything ends
     up clipped and the sum constraint is left slack at sum(caps).  A
     remainder that rounds away against gamma/eta is left slack too where it
     could add at most 1e-12 of the fused SNR.  ``capped_mse_batch`` solves

@@ -112,13 +112,6 @@ class Snapshot:
         eta.flags.writeable = False
         return eta
 
-    @cached_property
-    def merit_order(self) -> np.ndarray:
-        """Indices of the usable sensors (eta > 0) by descending merit, ties by index; read-only."""
-        order = np.argsort(-self.eta, kind="stable")[: np.count_nonzero(self.eta)]
-        order.flags.writeable = False
-        return order
-
 
 @dataclass(frozen=True, eq=False)
 class Allocation:

@@ -28,43 +28,29 @@ def snap(gamma, s, sig=1.0):
     return ff.Snapshot.from_arrays(sig, gamma, s)
 
 
+def ranking(snapshot):
+    return allocation._rank_row(snapshot)[0]
+
+
 class TestRanking:
     def test_descending_merit(self):
         s1 = snap([1.0] * 3, [6.0, 2.0, 4.0])  # eta = (3, 1, 2)
-        np.testing.assert_array_equal(s1.merit_order, [0, 2, 1])
+        np.testing.assert_array_equal(ranking(s1), [0, 2, 1])
 
     def test_ties_keep_original_order(self):
         s1 = snap([1.0] * 4, [4.0, 2.0, 4.0, 4.0])
-        np.testing.assert_array_equal(s1.merit_order, [0, 2, 3, 1])
+        np.testing.assert_array_equal(ranking(s1), [0, 2, 3, 1])
 
     def test_random_orders_hold_the_usable_sensors(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             live = random_snapshot(rng)
             s1 = snap(live.gamma, np.where(rng.random(live.k) < 0.3, 0.0, live.s))
-            order = s1.merit_order
+            order = ranking(s1)
             merits = s1.eta[order]
             assert np.all(np.diff(merits) <= 0) and np.all(merits > 0)
             assert sorted(order) == list(np.flatnonzero(s1.eta > 0))
             assert merits == pytest.approx(sorted(s1.eta[s1.eta > 0], reverse=True))
-
-    def test_merit_order_is_a_cached_read_only_array(self):
-        s1 = snap([1.0, 2.0, 3.0, 1.0, 5.0], [1.0, 0.0, 2.0, 1.0, 0.0])  # sensors 1 and 4 dead
-        order = s1.merit_order
-        np.testing.assert_array_equal(order, [2, 0, 3])  # eta = (0.5, 0, 1.5, 0.5, 0)
-        assert s1.merit_order is order
-        assert not order.flags.writeable
-        with pytest.raises(ValueError):
-            order[0] = 1
-        assert snap([1.0, 1.0], [0.0, 0.0]).merit_order.size == 0
-
-    def test_every_row_solver_reads_the_cached_ranking(self, monkeypatch):
-        s1 = snap([1.0, 2.0, 3.0], [6.0, 2.0, 4.0])
-        s1.merit_order  # the ranking is made here, once
-        monkeypatch.setattr(np, "argsort", lambda *a, **k: pytest.fail("a row solver re-sorted"))
-        ff.max_performance_allocation(s1, 1.0)
-        ff.max_performance_with_caps(s1, 1.0, ff.CapVector.uniform(3, 0.4))
-        ff.min_power_allocation(s1, 2.0 * ff.distortion_floor(s1))
 
 
 class TestMaxPerformance:
