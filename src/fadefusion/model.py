@@ -29,6 +29,10 @@ from .errors import AllPowerZero
 #: Stored as IEEE +inf so that 1/gamma terms vanish exactly.
 NOISELESS = math.inf
 
+#: The largest gamma whose reciprocal overflows (1 / (1 / max float) rounds to +inf); a
+#: snapshot's gammas must lie above it.
+_MIN_GAMMA = float(1.0 / np.finfo(float).max)
+
 
 def _check_positive(name: str, value: float, allow_inf: bool = False) -> float:
     value = float(value)
@@ -64,9 +68,10 @@ class Snapshot:
 
     ``gamma`` (observation SNR, dimensionless) and ``s`` (channel SNR, 1/W)
     are read-only float arrays of length K.  Every ``gamma`` is strictly
-    positive; ``NOISELESS`` (``math.inf``) marks a sensor with zero
-    observation noise so that the 1/gamma limit is exact.  Every ``s`` is
-    finite and may be zero (a channel in a deep fade contributes nothing).
+    positive, with a finite 1/gamma (above ``_MIN_GAMMA``); ``NOISELESS``
+    (``math.inf``) marks a sensor with zero observation noise so that the
+    1/gamma limit is exact.  Every ``s`` is finite and may be zero (a
+    channel in a deep fade contributes nothing).
     Sensor order is identity: ranking and allocation results always refer
     back to these indices.
     """
@@ -81,8 +86,11 @@ class Snapshot:
             raise ValueError("a snapshot needs at least one sensor")
         if gamma.size != s.size:
             raise ValueError("gamma and s must have equal length")
-        if not (gamma > 0).all():
-            raise ValueError(f"gamma must be strictly positive, not NaN, got {gamma}")
+        if not (gamma > _MIN_GAMMA).all():
+            raise ValueError(
+                f"gamma must be strictly positive, not NaN, with a finite 1/gamma "
+                f"(above {_MIN_GAMMA!r}), got {gamma}"
+            )
         if not (np.isfinite(s) & (s >= 0)).all():
             raise ValueError(f"s must be finite and >= 0, got {s}")
         object.__setattr__(self, "gamma", gamma)
@@ -169,7 +177,7 @@ def blue_mse(snapshot: Snapshot, allocation: Allocation) -> float:
     callers (e.g. Monte Carlo loops) decide deliberately how to count the
     undefined/infinite-distortion case.
     """
-    total = float(np.sum(signal_contributions(snapshot, allocation)))
+    total = float(np.add.reduce(signal_contributions(snapshot, allocation)))
     if total == 0.0:
         raise AllPowerZero("no sensor carries signal power; distortion is unbounded")
     return snapshot.prior.variance_theta / total
@@ -224,7 +232,7 @@ def distortion_floor(snapshot: Snapshot) -> float:
     approached, never attained, as their budgets grow without bound.
     """
     usable = snapshot.s > 0
-    total = float(np.sum(snapshot.gamma[usable]))
+    total = float(np.add.reduce(snapshot.gamma[usable]))
     if total == 0.0:
         return math.inf
     return snapshot.prior.variance_theta / total

@@ -1,11 +1,14 @@
-"""The import path: scipy and numpy.random load only where they are used."""
+"""The import path: submodules, scipy and numpy.random load only where they are used."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 COLD_START = """
 import sys
@@ -37,13 +40,89 @@ print("ok")
 """
 
 
-def test_cli_import_loads_no_scipy_and_the_lazy_imports_work_from_cold():
+SCALAR_SOLVE = """
+import sys
+
+import fadefusion as ff
+
+snapshot = ff.Snapshot.from_arrays(1.0, [10.0, 20.0, 5.0], [2.0, 0.5, 1.0])
+for allocation, _ in (
+    ff.max_performance_allocation(snapshot, 0.01),
+    ff.max_performance_with_caps(snapshot, 0.01, ff.CapVector.uniform(3, 0.005)),
+    ff.min_power_allocation(snapshot, 0.2),
+):
+    assert ff.blue_mse(snapshot, allocation) > 0
+loaded = sorted(m for m in sys.modules if m.startswith("fadefusion"))
+assert loaded == ["fadefusion", "fadefusion.allocation", "fadefusion.errors",
+                  "fadefusion.model"], loaded
+for name in ("fadefusion.analysis", "concurrent.futures.process", "multiprocessing"):
+    assert name not in sys.modules, f"a scalar solve loaded {name}"
+print("ok")
+"""
+
+#: Every public name of the package, by the submodule that defines it: the names that the
+#: package imported eagerly before its submodules loaded on first use.
+EXPORTED = {
+    "allocation": ("AllocationDiagnostics", "CapVector", "l2_min_power_allocation",
+                   "max_performance_allocation", "max_performance_with_caps",
+                   "min_power_allocation"),
+    "analysis": ("AverageDistortion", "CappedPolicy", "EqualPolicy", "MinPowerSummary",
+                 "OptimalPolicy", "OutageEstimate", "RateFunctionQuery", "SandwichCheck",
+                 "SlopeFit", "active_fraction", "average_distortion", "average_min_power",
+                 "chernoff_bound", "d_infinity", "diversity_slope", "outage_probability",
+                 "rate_function_exponential", "rate_function_numeric", "sandwich_check"),
+    "channel": ("FadingModel", "NetworkModel", "ObservationModel", "PropagationModel",
+                "RngStream", "default_network", "mean_merit", "sample_batch",
+                "sample_snapshot"),
+    "errors": ("AllPowerZero", "ConvergenceFailure", "DivergentMGF", "FadeFusionError",
+               "InfeasibleTarget", "InsufficientData", "InternalConsistencyError",
+               "NoUsableSensor"),
+    "model": ("NOISELESS", "Allocation", "SignalPrior", "Snapshot", "blue_mse",
+              "blue_mse_matrix_oracle", "distortion_floor", "equal_allocation",
+              "equal_power_mse", "signal_contributions", "transmit_power"),
+}
+
+
+def _run(argv, **kwargs):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
-    )
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_cli_import_loads_no_scipy_and_the_lazy_imports_work_from_cold():
+    done = _run([sys.executable, "-c", COLD_START])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_a_scalar_solve_loads_neither_the_monte_carlo_driver_nor_the_process_pool():
+    done = _run([sys.executable, "-c", SCALAR_SOLVE])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_every_public_name_is_its_submodules_object_and_is_listed():
+    import importlib
+
+    import fadefusion
+
+    listed = set(dir(fadefusion))
+    for module_name, names in EXPORTED.items():
+        module = importlib.import_module(f"fadefusion.{module_name}")
+        assert getattr(fadefusion, module_name) is module
+        for name in names:
+            assert getattr(fadefusion, name) is getattr(module, name), name
+            assert name in fadefusion.__all__ and name in listed, name
+    assert sorted(fadefusion.__all__) == sorted(n for names in EXPORTED.values() for n in names)
+    assert "__version__" in vars(fadefusion)  # eager: cli imports it
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fadefusion.no_such_name
+
+
+def test_the_benchmark_self_test_passes():
+    # Both trace modes patch library names from outside; a change to how the package
+    # imports its submodules must keep those patch points working.
+    done = _run([sys.executable, "perfbench/run.py", "--self-test"], cwd=ROOT)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_the_names_the_tracing_harness_patches_stay_importable():

@@ -36,6 +36,19 @@ class TestTypes:
             ff.Snapshot(ff.SignalPrior(1.0), [math.nan], [1.0])
         assert snap([ff.NOISELESS], [2.0]).inv_gamma[0] == 0.0
 
+    def test_gamma_needs_a_finite_reciprocal(self):
+        # 1/gamma overflows at and below 1/max float, which made the optimal allocation's
+        # distortion and total power NaN; the smallest gamma above it still solves.
+        smallest = np.nextafter(1.0 / np.finfo(float).max, 1.0)
+        for tiny in (1e-320, 5e-324, 1.0 / np.finfo(float).max):
+            with pytest.raises(ValueError, match="finite 1/gamma"):
+                snap([tiny, 1.0], [1.0, 1.0])
+        snapshot = snap([smallest, 1.0], [1.0, 1.0])
+        assert np.isfinite(snapshot.inv_gamma).all()
+        allocation, _ = ff.max_performance_allocation(snapshot, 1.0)
+        assert math.isfinite(ff.blue_mse(snapshot, allocation))
+        assert math.isclose(allocation.total_power(snapshot), 1.0, rel_tol=1e-12)
+
     def test_arrays_are_read_only_copies(self):
         gamma, s, alpha, caps = (np.array([1.0, 2.0]) for _ in range(4))
         snapshot = ff.Snapshot(ff.SignalPrior(1.0), gamma, s)
