@@ -32,6 +32,7 @@ distortion is the per-budget kernel's, bit for bit, so every count equals
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -190,10 +191,14 @@ def _certain_outage(model: NetworkModel, curve: Curve) -> bool:
     floor = model.prior.variance_theta / float(gamma.sum())
     if curve.d0 > floor:
         return False
+    # Name the first caller outside this module, through estimate_sweep or an estimator.
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"threshold {curve.d0:.6g} is at or below the distortion floor {floor:.6g}; "
         "outage is 1 for every realization",
-        stacklevel=3,
+        stacklevel=level,
     )
     return True
 

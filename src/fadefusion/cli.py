@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import Optional, Sequence
+
+# One OpenBLAS thread unless the caller chose a count: no BLAS call here is large enough to
+# thread, and a process-pool parent that loads no BLAS pool forks its workers single-threaded.
+# numpy and scipy read the variable when they first load, so it must be set before them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

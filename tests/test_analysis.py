@@ -21,11 +21,12 @@ class TestOutageProbability:
         assert est.probability == 0.0
 
     def test_threshold_below_floor_is_certain_outage(self):
-        with pytest.warns(UserWarning, match="distortion floor"):
+        with pytest.warns(UserWarning, match="distortion floor") as record:
             est = ff.outage_probability(
                 default_network(), 4, ff.EqualPolicy(), 1e-9, 10.0, 5_000, seed=1
             )
         assert est.probability == 1.0
+        assert record[0].filename == __file__  # the caller's line, not the library's
 
     def test_sigma_sq_list_of_the_wrong_length_is_rejected_below_its_floor(self):
         # A 2-entry sigma_sq list at K=3: its 2-sensor floor is 0.005, so d0 = 0.004

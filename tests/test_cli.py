@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fadefusion as ff
+from fadefusion.analysis import CHUNK_TRIALS
 from fadefusion.cli import main, read_snapshot_file
 from fadefusion.config import SEED_ENV_VAR, ConfigError, load_config
 
@@ -229,6 +233,27 @@ class TestRun:
             "stop = 0.02", "stop = 0.0004"
         )
         assert main(["run", "--config", write(tmp_path, "bad.ini", bad)]) == 3
+
+    def test_a_fresh_cli_process_writes_the_same_bytes_at_two_workers(self, tmp_path):
+        # main() runs in this process, where numpy loaded long ago; a fresh CLI process
+        # forks its pool from its own single-threaded start-up.  Two chunks, so two tasks.
+        text = (
+            "[experiment]\nscenario = outage-compare\nk = 3\npolicies = equal,optimal\n"
+            f"trials = {CHUNK_TRIALS + 4000}\nseed = 7\n"
+            "[sweep]\naxis = p_tot\nstart = 0 dBm\nstop = 14 dBm\npoints = 4\n"
+        )
+        config = write(tmp_path, "e.ini", text)
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.csv"
+            argv = [sys.executable, "-m", "fadefusion.cli", "run", "--config", config,
+                    "--output", str(out), "--workers", workers]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 SNAPSHOT_ONE = """

@@ -60,6 +60,17 @@ for name in ("fadefusion.analysis", "concurrent.futures.process", "multiprocessi
 print("ok")
 """
 
+SINGLE_THREADED = """
+import os
+
+import fadefusion.cli
+import scipy.optimize  # loads scipy's own OpenBLAS, which reads the same variable
+
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else "-"
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
 #: Every public name of the package, by the submodule that defines it: the names that the
 #: package imported eagerly before its submodules loaded on first use.
 EXPORTED = {
@@ -83,8 +94,8 @@ EXPORTED = {
 }
 
 
-def _run(argv, **kwargs):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def _run(argv, environ=os.environ, **kwargs):
+    env = {**environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, **kwargs)
 
 
@@ -92,6 +103,21 @@ def test_cli_import_loads_no_scipy_and_the_lazy_imports_work_from_cold():
     done = _run([sys.executable, "-c", COLD_START])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_the_cli_starts_with_one_blas_thread_unless_the_caller_chose_a_count():
+    # This process may carry the CLI's "1" from an earlier in-process import: start clean.
+    unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    fresh = _run([sys.executable, "-c", SINGLE_THREADED], unset)
+    preset = _run([sys.executable, "-c", SINGLE_THREADED], {**unset, "OPENBLAS_NUM_THREADS": "2"})
+    assert fresh.returncode == 0, fresh.stderr
+    assert preset.returncode == 0, preset.stderr
+    value, threads = fresh.stdout.split()
+    assert value == "1"
+    assert preset.stdout.split()[0] == "2"
+    if threads == "-":
+        pytest.skip("no /proc/self/task to count this process's threads")
+    assert threads == "1", f"numpy and scipy left {threads} OS threads"
 
 
 def test_a_scalar_solve_loads_neither_the_monte_carlo_driver_nor_the_process_pool():

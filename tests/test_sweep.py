@@ -105,11 +105,12 @@ class TestSweepEqualsPoints:
             raise AssertionError("sampled a curve whose outage is certain")
 
         monkeypatch.setattr(analysis, "sample_batch", no_sampling)
-        with pytest.warns(UserWarning, match="distortion floor"):
+        with pytest.warns(UserWarning, match="distortion floor") as record:
             (curve,) = estimate_sweep(
                 default_network(), [Curve("outage", 2, BUDGETS, ff.EqualPolicy(), 1e-9)], 500, 1
             )
         assert curve == [ff.OutageEstimate(500, 500)] * len(BUDGETS)
+        assert record[0].filename == __file__
 
 
 def kernel_mse(policy, k, s, gamma, p_tot):
