@@ -51,7 +51,7 @@ from .errors import (
     InternalConsistencyError,
     NoUsableSensor,
 )
-from .model import Allocation, Snapshot, _frozen_vector, distortion_floor
+from .model import Allocation, Snapshot, _check_positive, _frozen_vector, distortion_floor
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def _require_finite_gamma(snapshot: Snapshot) -> None:
 
 
 def _check_budget(snapshot: Snapshot, total_power: float) -> None:
-    if not (total_power > 0 and math.isfinite(total_power)):
-        raise ValueError("total_power must be positive and finite")
+    _check_positive("total_power", total_power)
     _require_finite_gamma(snapshot)
     if not snapshot.eta.any():
         raise NoUsableSensor("all channel merits are zero")
@@ -256,8 +255,7 @@ def max_performance_with_caps(
 
 def _check_target(snapshot: Snapshot, distortion_target: float) -> float:
     """Validate strict feasibility and return the required fused SNR total."""
-    if not (distortion_target > 0 and math.isfinite(distortion_target)):
-        raise ValueError("distortion_target must be positive and finite")
+    _check_positive("distortion_target", distortion_target)
     floor = distortion_floor(snapshot)
     if distortion_target <= floor:
         raise InfeasibleTarget(distortion_target, floor)

@@ -53,9 +53,9 @@ from .allocation import (
     equal_power_mse_batch,  # this and sum_power_mse_batch stay importable from here
     sum_power_mse_batch,
 )
-from .channel import NetworkModel, sample_batch
+from .channel import NetworkModel, mean_merit, sample_batch
 from .errors import DivergentMGF, InsufficientData
-from .model import Snapshot, equal_allocation, signal_contributions
+from .model import Snapshot, _check_positive, equal_allocation, signal_contributions
 
 #: Trials per work unit.  Fixed independently of the worker count so that
 #: floating-point reduction order (and hence every digit of the output)
@@ -93,8 +93,7 @@ class CappedPolicy:
     cap_scale: float = 1.5
 
     def __post_init__(self):
-        if not self.cap_scale > 0:
-            raise ValueError("cap_scale must be > 0")
+        _check_positive("cap_scale", self.cap_scale, allow_inf=True)
 
 
 Policy = Union[EqualPolicy, OptimalPolicy, CappedPolicy]
@@ -229,20 +228,12 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     budget below it, until no row is left.  The per-row arrays are gathered
     down to those rows once they are at most 3/4 of the rows held: a gather
     after every shrink cost more than it saved on slowly falling curves.
-    Each budget's distortions are kept until the block is counted.  Freeing
-    each at once instead was measured on one 65 536-trial chunk in outage at
-    all of 8 budgets (fresh processes, 10 interleaved runs, medians): capped
-    curves -1%, +5% and -2% at K=3, 20 and 100, equal-split curves +12%, -4%
-    and -2%, optimal curves -10%, +1% and -11%.  Most of these lie inside
-    the runs' quartile spread, so neither rule is clearly faster.
     """
     rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     counts = dict.fromkeys(curve.points, 0)
     live = np.arange(s.shape[0])  # the held rows still in outage
-    kept = []
     for budget in sorted(counts):
-        kept.append(mse(budget, *rows))
-        live = live[kept[-1][live] > curve.d0]
+        live = live[mse(budget, *rows)[live] > curve.d0]
         counts[budget] = live.size
         if live.size == 0:
             break
@@ -425,11 +416,7 @@ def d_infinity(model: NetworkModel, p_tot: float, *, k: int = 1) -> float:
     and a fixed-seed 10^6-draw estimate otherwise; see
     :func:`fadefusion.channel.mean_merit`.
     """
-    from .channel import mean_merit
-
-    if not p_tot > 0:
-        raise ValueError("p_tot must be > 0")
-    return model.prior.variance_theta / (p_tot * mean_merit(model, k))
+    return model.prior.variance_theta / (_check_positive("p_tot", p_tot) * mean_merit(model, k))
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +437,11 @@ class RateFunctionQuery:
     samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("a must be > 0")
+        _check_positive("a", self.a)
         if (self.mean_b is None) == (self.samples is None):
             raise ValueError("provide exactly one of mean_b or samples")
-        if self.mean_b is not None and not self.mean_b > 0:
-            raise ValueError("mean_b must be > 0")
+        if self.mean_b is not None:
+            _check_positive("mean_b", self.mean_b)
         if self.samples is not None:
             samples = np.asarray(self.samples, dtype=float)
             if samples.size < 2:
@@ -469,9 +455,7 @@ _THETA_TOL = 1e-12
 
 def rate_function_exponential(a: float, mean_b: float) -> float:
     """Closed-form rate function of an exponential distribution with mean ``mean_b``."""
-    if not (a > 0 and mean_b > 0):
-        raise ValueError("a and mean_b must be > 0")
-    ratio = a / mean_b
+    ratio = _check_positive("a", a) / _check_positive("mean_b", mean_b)
     return ratio - math.log(ratio) - 1.0
 
 
@@ -592,8 +576,7 @@ def sandwich_check(snapshot: Snapshot, p_tot: float) -> SandwichCheck:
     bound subtracts its worst case.  Both collapse onto the exact value for
     noiseless sensors, whose correction term carries a 1/gamma factor.
     """
-    if not p_tot > 0:
-        raise ValueError("p_tot must be > 0")
+    _check_positive("p_tot", p_tot)
     k = snapshot.k
     upper = p_tot / k * float(np.sum(snapshot.eta))
     correction = (p_tot / k) ** 2 * float(np.sum(snapshot.inv_gamma * snapshot.s**2))

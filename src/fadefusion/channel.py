@@ -21,12 +21,13 @@ the column sums save.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import SignalPrior, Snapshot
+from .model import SignalPrior, Snapshot, _check_positive
 
 _DOUBLES_PER_BLOCK = 4  # one Philox counter increment yields 4 uint64 = 4 doubles
 _MAX_SEED = 2**64
@@ -68,6 +69,22 @@ def _uniform_block(
     return u.reshape(n_trials, blocks * _DOUBLES_PER_BLOCK)[:, :draws_per_trial]
 
 
+def _per_sensor(name: str, values) -> float | tuple[float, ...]:
+    """A per-sensor parameter: one positive value for all sensors, or one per sensor."""
+    if np.ndim(values) == 0:
+        return _check_positive(name, values)
+    return tuple(_check_positive(name, v) for v in values)
+
+
+def _for_k(name: str, values: float | tuple[float, ...], k: int) -> np.ndarray:
+    """A ``_per_sensor`` value as K floats."""
+    if isinstance(values, float):
+        return np.full(k, values)
+    if len(values) != k:
+        raise ValueError(f"{name} has {len(values)} entries but K={k}")
+    return np.array(values)
+
+
 @dataclass(frozen=True)
 class PropagationModel:
     """Deterministic part of the channel SNR: s = nominal_gain / (noise * d^nu).
@@ -84,27 +101,15 @@ class PropagationModel:
     path_loss_exponent: float = 2.0
 
     def __post_init__(self):
-        if not self.nominal_gain > 0:
-            raise ValueError("nominal_gain must be > 0")
-        if not self.channel_noise_variance > 0:
-            raise ValueError("channel_noise_variance must be > 0")
-        distances = self.distance_m
-        if isinstance(distances, (int, float)):
-            if not distances > 0:
-                raise ValueError("distance_m must be > 0")
-        else:
-            distances = tuple(float(d) for d in distances)
-            if not all(d > 0 for d in distances):
-                raise ValueError("every distance must be > 0")
-            object.__setattr__(self, "distance_m", distances)
+        _check_positive("nominal_gain", self.nominal_gain)
+        _check_positive("channel_noise_variance", self.channel_noise_variance)
+        if not math.isfinite(self.path_loss_exponent):
+            raise ValueError(f"path_loss_exponent must be finite, got {self.path_loss_exponent}")
+        object.__setattr__(self, "distance_m", _per_sensor("distance_m", self.distance_m))
 
     def mean_channel_snr(self, k: int) -> np.ndarray:
         """Per-sensor mean channel SNR (value at |r|^2 = 1), shape (k,)."""
-        d = np.asarray(self.distance_m, dtype=float)
-        if d.ndim == 0:
-            d = np.full(k, float(d))
-        elif d.shape[0] != k:
-            raise ValueError(f"distance_m has {d.shape[0]} entries but K={k}")
+        d = _for_k("distance_m", self.distance_m, k)
         return self.nominal_gain / (self.channel_noise_variance * d**self.path_loss_exponent)
 
 
@@ -122,8 +127,7 @@ class FadingModel:
     def __post_init__(self):
         if self.kind not in ("rayleigh", "none"):
             raise ValueError("fading kind must be 'rayleigh' or 'none'")
-        if not self.mean_square > 0:
-            raise ValueError("mean_square must be > 0")
+        _check_positive("mean_square", self.mean_square)
 
     @property
     def draws_per_sensor(self) -> int:
@@ -156,21 +160,14 @@ class ObservationModel:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            values = self.sigma_sq
-            if isinstance(values, (int, float)):
-                if not values > 0:
-                    raise ValueError("sigma_sq must be > 0")
-            else:
-                values = tuple(float(v) for v in values)
-                if not all(v > 0 for v in values):
-                    raise ValueError("every sigma_sq must be > 0")
-                object.__setattr__(self, "sigma_sq", values)
+            object.__setattr__(self, "sigma_sq", _per_sensor("sigma_sq", self.sigma_sq))
         elif self.kind == "uniform":
-            if not (0 < self.low <= self.high):
-                raise ValueError("uniform observation model needs 0 < low <= high")
+            if not _check_positive("low", self.low) <= _check_positive("high", self.high):
+                raise ValueError("uniform observation model needs low <= high")
         elif self.kind == "lognormal":
-            if not (self.median > 0 and self.log_sigma >= 0):
-                raise ValueError("lognormal observation model needs median > 0, log_sigma >= 0")
+            _check_positive("median", self.median)
+            if not 0 <= self.log_sigma < math.inf:
+                raise ValueError(f"log_sigma must be finite and >= 0, got {self.log_sigma}")
         else:
             raise ValueError("observation kind must be 'fixed', 'uniform' or 'lognormal'")
 
@@ -193,11 +190,7 @@ class ObservationModel:
     def variances(self, k: int, u: np.ndarray) -> np.ndarray:
         """Observation variances for a batch; ``u`` has shape (trials, k or 0)."""
         if self.kind == "fixed":
-            values = np.asarray(self.sigma_sq, dtype=float)
-            if values.ndim == 0:
-                values = np.full(k, float(values))
-            elif values.shape[0] != k:
-                raise ValueError(f"sigma_sq has {values.shape[0]} entries but K={k}")
+            values = _for_k("sigma_sq", self.sigma_sq, k)
             return np.broadcast_to(values, (u.shape[0], k)) if u.ndim == 2 else values
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * u

@@ -225,16 +225,12 @@ def _parse_caps(raw: Optional[str], k: int) -> Optional[CapVector]:
     return CapVector(values)
 
 
-def _print_allocation(snapshot, allocation, diagnostics, extras, machine: bool) -> None:
+def _print_allocation(snapshot, allocation, summary, machine: bool) -> None:
+    """The per-sensor table (or key=value lines) and the ``summary`` (key, value) pairs."""
     powers = allocation.transmit_powers(snapshot)
+    fields = [f"{key}={_fmt(value)}" for key, value in summary]
     if machine:
-        print(f"k={snapshot.k}")
-        for key, value in extras:
-            print(f"{key}={_fmt(value)}")
-        if diagnostics is not None:
-            print(f"active_count={diagnostics.active_count}")
-            print(f"threshold={_fmt(diagnostics.threshold_constant)}")
-            print(f"dual={_fmt(diagnostics.dual_value)}")
+        print(f"k={snapshot.k}", *fields, sep="\n")
         for i in range(snapshot.k):
             print(
                 f"sensor_{i + 1}: alpha_prime={_fmt(allocation.alpha_prime[i])} "
@@ -250,14 +246,7 @@ def _print_allocation(snapshot, allocation, diagnostics, extras, machine: bool) 
             f"{_fmt(allocation.alpha_prime[i]):>14}  {_fmt(powers[i]):>14}  "
             f"{'yes' if allocation.alpha_prime[i] > 0 else 'no'}"
         )
-    summary = "  ".join(f"{key}={_fmt(value)}" for key, value in extras)
-    if diagnostics is not None:
-        summary += (
-            f"  active_count={diagnostics.active_count}"
-            f"  threshold={_fmt(diagnostics.threshold_constant)}"
-            f"  dual={_fmt(diagnostics.dual_value)}"
-        )
-    print(summary)
+    print("  ".join(fields))
 
 
 def _cmd_alloc(args) -> int:
@@ -279,12 +268,16 @@ def _cmd_alloc(args) -> int:
             allocation, diagnostics = l2_min_power_allocation(snapshot, target), None
         else:
             allocation, diagnostics = min_power_allocation(snapshot, target)
-    extras = [("total_power_w", allocation.total_power(snapshot))]
+    summary = [("total_power_w", allocation.total_power(snapshot))]
     try:
-        extras.append(("mse", blue_mse(snapshot, allocation)))
+        summary.append(("mse", blue_mse(snapshot, allocation)))
     except FadeFusionError:
-        extras.append(("mse", math.inf))
-    _print_allocation(snapshot, allocation, diagnostics, extras, args.machine)
+        summary.append(("mse", math.inf))
+    if diagnostics is not None:
+        summary += [("active_count", diagnostics.active_count),
+                    ("threshold", diagnostics.threshold_constant),
+                    ("dual", diagnostics.dual_value)]
+    _print_allocation(snapshot, allocation, summary, args.machine)
     return EXIT_OK
 
 
@@ -294,16 +287,14 @@ def _cmd_alloc(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    if (args.mean_b is None) == (args.samples is None):
-        raise ConfigError("rate needs exactly one of --mean-b or --samples")
+    samples = None
     if args.samples is not None:
         try:
             samples = np.loadtxt(args.samples, ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read samples: {exc}") from exc
-        query = RateFunctionQuery(a=args.a, samples=samples)
-    else:
-        query = RateFunctionQuery(a=args.a, mean_b=args.mean_b)
+    query = RateFunctionQuery(a=args.a, mean_b=args.mean_b, samples=samples)
+    if args.mean_b is not None:
         print(f"rate_closed={_fmt(rate_function_exponential(args.a, args.mean_b))}")
     value, theta_star = rate_function_numeric(query, full_output=True)
     print(f"rate_numeric={_fmt(value)}")

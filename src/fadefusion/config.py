@@ -44,8 +44,6 @@ class SweepSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if self.axis not in ("p_tot", "d0"):
-            raise ConfigError("sweep axis must be 'p_tot' or 'd0'")
         if self.points < 1:
             raise ConfigError("sweep needs at least one point")
         if self.spacing not in ("log", "linear"):
@@ -136,14 +134,18 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
 
 
+def _floats(raw: str) -> float | tuple[float, ...]:
+    """A comma list of numbers as a tuple of floats; a single number as a float."""
+    values = tuple(float(v) for v in raw.split(","))
+    return values[0] if len(values) == 1 else values
+
+
 def _build_model(section: configparser.SectionProxy) -> NetworkModel:
     sigma_theta_sq = _parse_float("model", "sigma_theta_sq", section["sigma_theta_sq"])
     obs_kind = section["observation"].strip().lower()
     try:
         if obs_kind == "fixed":
-            raw = section["sigma_k_sq"]
-            values = [float(v) for v in raw.split(",")]
-            observation = ObservationModel.fixed(values[0] if len(values) == 1 else tuple(values))
+            observation = ObservationModel.fixed(_floats(section["sigma_k_sq"]))
         elif obs_kind == "uniform":
             observation = ObservationModel.uniform(
                 _parse_float("model", "obs_low", section["obs_low"]),
@@ -157,15 +159,9 @@ def _build_model(section: configparser.SectionProxy) -> NetworkModel:
         else:
             raise ConfigError(f"unknown observation model {obs_kind!r}")
 
-        distances_raw = [v.strip() for v in section["distance_m"].split(",")]
-        distance = (
-            float(distances_raw[0])
-            if len(distances_raw) == 1
-            else tuple(float(v) for v in distances_raw)
-        )
         propagation = PropagationModel(
             nominal_gain=parse_gain(section["nominal_gain"]),
-            distance_m=distance,
+            distance_m=_floats(section["distance_m"]),
             channel_noise_variance=parse_power(section["channel_noise"]),
             path_loss_exponent=_parse_float(
                 "model", "path_loss_exponent", section["path_loss_exponent"]

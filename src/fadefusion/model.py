@@ -35,9 +35,11 @@ _MIN_GAMMA = float(1.0 / np.finfo(float).max)
 
 
 def _check_positive(name: str, value: float, allow_inf: bool = False) -> float:
+    """``value`` as a float, if it is above 0 and finite (or +inf, with ``allow_inf``)."""
     value = float(value)
-    if math.isnan(value) or value <= 0 or (math.isinf(value) and not allow_inf):
-        raise ValueError(f"{name} must be strictly positive and finite, got {value}")
+    if not (0 < value < math.inf or (allow_inf and value == math.inf)):
+        finite = "" if allow_inf else " and finite"
+        raise ValueError(f"{name} must be strictly positive{finite}, got {value}")
     return value
 
 
@@ -156,8 +158,7 @@ def transmit_power(alpha_prime: float, gamma: float) -> float:
     """Average transmit power alpha' (1 + 1/gamma) spent by one sensor."""
     if alpha_prime < 0:
         raise ValueError("alpha_prime must be >= 0")
-    inv_gamma = 0.0 if math.isinf(gamma) else 1.0 / _check_positive("gamma", gamma, True)
-    return alpha_prime * (1.0 + inv_gamma)
+    return alpha_prime * (1.0 + 1.0 / _check_positive("gamma", gamma, True))
 
 
 def signal_contributions(snapshot: Snapshot, allocation: Allocation) -> np.ndarray:
@@ -215,8 +216,7 @@ def equal_allocation(snapshot: Snapshot, total_power: float) -> Allocation:
 
 def equal_power_mse(snapshot: Snapshot, total_power: float) -> float:
     """BLUE variance under the equal-power split, evaluated in closed form."""
-    if not total_power > 0:
-        raise ValueError("total_power must be > 0")
+    _check_positive("total_power", total_power)
     k = snapshot.k
     ps = total_power * snapshot.s
     total = float(np.sum(ps / (snapshot.inv_gamma * ps + k * (1.0 + snapshot.inv_gamma))))

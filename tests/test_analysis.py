@@ -184,8 +184,11 @@ class TestRateFunctions:
             ff.RateFunctionQuery(a=1.0)
         with pytest.raises(ValueError):
             ff.RateFunctionQuery(a=1.0, mean_b=2.0, samples=np.ones(3))
-        with pytest.raises(ValueError):
-            ff.RateFunctionQuery(a=-1.0, mean_b=2.0)
+        for a, mean_b in ((-1.0, 2.0), (math.inf, 2.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                ff.RateFunctionQuery(a=a, mean_b=mean_b)
+            with pytest.raises(ValueError):
+                ff.rate_function_exponential(a, mean_b)
 
 
 class TestChernoffBound:

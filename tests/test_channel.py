@@ -199,19 +199,35 @@ class TestDistributions:
 class TestModelValidation:
     def test_propagation_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ff.PropagationModel(nominal_gain=0.0)
-        with pytest.raises(ValueError):
             ff.PropagationModel(distance_m=(100.0, -1.0))
+        for bad in (0.0, math.inf, math.nan):
+            for field in ("nominal_gain", "channel_noise_variance", "distance_m"):
+                with pytest.raises(ValueError, match=f"{field} must be strictly positive"):
+                    ff.PropagationModel(**{field: bad})
+            with pytest.raises(ValueError, match="distance_m must be strictly positive"):
+                ff.PropagationModel(distance_m=(100.0, bad))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="path_loss_exponent must be finite"):
+                ff.PropagationModel(path_loss_exponent=bad)
 
     def test_fading_kinds(self):
         with pytest.raises(ValueError):
             ff.FadingModel(kind="rician")
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mean_square must be strictly positive"):
+                ff.FadingModel(mean_square=bad)
 
     def test_observation_kinds(self):
-        with pytest.raises(ValueError):
-            ff.ObservationModel.uniform(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ff.ObservationModel(kind="fixed", sigma_sq=-1.0)
+        for kind, a, b in (("uniform", 0.0, 1.0), ("uniform", 0.02, 0.01),
+                           ("uniform", 0.01, math.inf), ("lognormal", math.inf, 1.0),
+                           ("lognormal", 0.01, math.inf), ("lognormal", 0.01, math.nan)):
+            with pytest.raises(ValueError):
+                getattr(ff.ObservationModel, kind)(a, b)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma_sq must be strictly positive"):
+                ff.ObservationModel(kind="fixed", sigma_sq=bad)
+            with pytest.raises(ValueError, match="sigma_sq must be strictly positive"):
+                ff.ObservationModel.fixed((0.01, bad))
 
     def test_per_sensor_distances(self):
         prop = ff.PropagationModel(

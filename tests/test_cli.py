@@ -171,8 +171,11 @@ class TestRun:
     def test_bad_set_key_exits_2(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "e.ini", BASE_CONFIG.format(out=tmp_path / "o.csv"))
         assert main(["run", "--config", cfg_path, "--set", "experiment.nope=1"]) == 2
-        assert main(["run", "--config", cfg_path, "--set", "model.sigma_theta_sq=inf"]) == 2
-        assert "invalid [model] section" in capsys.readouterr().err
+        capsys.readouterr()
+        for setting in ("sigma_theta_sq=inf", "sigma_k_sq=inf", "distance_m=inf",
+                        "path_loss_exponent=nan"):
+            assert main(["run", "--config", cfg_path, "--set", f"model.{setting}"]) == 2, setting
+            assert "invalid [model] section" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2
@@ -354,13 +357,17 @@ class TestRateAndDinf:
         value = float(out.split("rate_numeric=")[1].splitlines()[0])
         assert value == pytest.approx(ff.rate_function_exponential(1.0, 2.0), rel=0.05)
 
-    def test_rate_requires_exactly_one_source(self):
+    def test_rate_requires_exactly_one_source(self, tmp_path):
         assert main(["rate", "--a", "1.0"]) == 2
+        samples = write(tmp_path, "x.txt", "1.0\n2.0\n3.0\n")
+        assert main(["rate", "--a", "1.0", "--mean-b", "2.0", "--samples", samples]) == 2
 
     def test_dinf_default_model(self, capsys):
         assert main(["dinf", "--p-tot", "10 dBm"]) == 0
         value = float(capsys.readouterr().out.split("=")[1])
         assert value == pytest.approx(1.0 / (0.01 * 1e5 / 1.01), rel=1e-12)
+        assert main(["dinf", "--p-tot", "inf"]) == 2
+        assert "p_tot must be strictly positive and finite" in capsys.readouterr().err
 
     def test_dinf_with_overrides_matches_known_value(self, capsys):
         # gamma = 1 and mean channel SNR 2 make the expected merit exactly 1

@@ -97,6 +97,9 @@ class TestTransmitPower:
         assert ff.transmit_power(100.0, 100.0) == pytest.approx(101.0, rel=1e-15)
         assert ff.transmit_power(0.0, 5.0) == 0.0
         assert ff.transmit_power(3.0, ff.NOISELESS) == 3.0
+        for bad in (0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma must be strictly positive, got"):
+                ff.transmit_power(1.0, bad)
 
 
 class TestBlueMse:

@@ -252,6 +252,12 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             ff.average_min_power(default_network(), 3, d0, 100, 1)
 
+    def test_cap_scale_may_be_unbounded_but_not_nan(self):
+        assert ff.CappedPolicy(math.inf).cap_scale == math.inf
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="cap_scale must be strictly positive, got"):
+                ff.CappedPolicy(bad)
+
     def test_zero_sensors_is_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             ff.outage_probability(default_network(), 0, ff.EqualPolicy(), 0.02, 0.01, 100, 1)
