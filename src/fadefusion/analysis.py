@@ -53,9 +53,9 @@ from .allocation import (
     equal_power_mse_batch,  # this and sum_power_mse_batch stay importable from here
     sum_power_mse_batch,
 )
-from .channel import NetworkModel, mean_merit, sample_batch
+from .channel import _MAX_SEED, NetworkModel, mean_merit, sample_batch
 from .errors import DivergentMGF, InsufficientData
-from .model import Snapshot, _check_positive, equal_allocation, signal_contributions
+from .model import Snapshot, _check_int, _check_positive, equal_allocation, signal_contributions
 
 #: Trials per work unit.  Fixed independently of the worker count so that
 #: floating-point reduction order (and hence every digit of the output)
@@ -164,21 +164,13 @@ class Curve:
     policy: Optional[Policy] = None
     d0: Optional[float] = None
 
-
-def _validate_sweep(curves: Sequence[Curve], trials: int, workers: int) -> None:
-    """Reject bad estimator inputs before any trial runs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    for curve in curves:
-        if curve.kind not in ("outage", "distortion", "active", "min-power"):
-            raise ValueError(f"unknown curve kind {curve.kind!r}")
-        if curve.k < 1:
-            raise ValueError("k must be >= 1")
-        if not all(0 < x < math.inf for x in curve.points):
+    def __post_init__(self):
+        if self.kind not in ("outage", "distortion", "active", "min-power"):
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+        object.__setattr__(self, "k", _check_int("k", self.k, 1))
+        if not all(0 < x < math.inf for x in self.points):
             raise ValueError("sweep points (p_tot, or d0 targets) must be positive and finite")
-        if curve.kind == "outage" and not 0 < curve.d0 < math.inf:
+        if self.kind == "outage" and not 0 < self.d0 < math.inf:
             raise ValueError("the distortion threshold must be positive and finite")
 
 
@@ -319,9 +311,11 @@ def estimate_sweep(
     order, so each result equals a one-point call's at any ``workers``.  More
     than one task and worker start one pool of min(workers, tasks) processes.
     Returns per curve one result per point (OutageEstimate, AverageDistortion,
-    active fraction or MinPowerSummary, by kind).
+    active fraction or MinPowerSummary, by kind).  A Curve checks itself when
+    built; ``trials``, ``seed`` and ``workers`` are checked here, before any trial.
     """
-    _validate_sweep(curves, trials, workers)
+    trials, workers = _check_int("trials", trials, 1), _check_int("workers", workers, 1)
+    seed = _check_int("seed", seed, 0, _MAX_SEED)
     groups: dict[int, list[int]] = {}
     for i, curve in enumerate(curves):
         if not _certain_outage(model, curve):
@@ -539,8 +533,7 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
 
 def chernoff_bound(k: int, rate_value: float) -> float:
     """Upper bound exp(-K * I) on the tail probability of a K-sample mean."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int("k", k, 1)
     if rate_value < 0:
         raise ValueError("rate_value must be >= 0")
     return math.exp(-k * rate_value)

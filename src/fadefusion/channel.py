@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import SignalPrior, Snapshot, _check_positive
+from .model import _MIN_GAMMA, SignalPrior, Snapshot, _check_int, _check_positive
 
 _DOUBLES_PER_BLOCK = 4  # one Philox counter increment yields 4 uint64 = 4 doubles
 _MAX_SEED = 2**64
@@ -43,12 +43,8 @@ class RngStream:
     trial: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if int(self.trial) < 0:
-            raise ValueError("trial index must be >= 0")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "trial", int(self.trial))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _MAX_SEED))
+        object.__setattr__(self, "trial", _check_int("trial", self.trial, 0))
 
 
 def _uniform_block(
@@ -210,6 +206,23 @@ class NetworkModel:
     fading: FadingModel
     observation: ObservationModel
 
+    def __post_init__(self):
+        # Every gamma and every nonzero s the sampler can draw needs a finite reciprocal.  Its
+        # maps are monotone, so the extreme uniforms bound them: u = 0 (the lognormal map clamps
+        # it), 2^-53 (the smallest nonzero fade) and 1 - 2^-53.
+        u = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])
+        with np.errstate(all="ignore"):
+            sigma_sq = self.observation.variances(np.size(self.observation.sigma_sq), u[:, None])
+            mean_s = self.propagation.mean_channel_snr(np.size(self.propagation.distance_m))
+            drawn = {"gamma": self.prior.variance_theta / sigma_sq, "nonzero channel SNR s":
+                     np.multiply.outer(mean_s, self.fading.power_from_uniform(u[1:]))}
+        for name, values in drawn.items():
+            if not (np.isfinite(values) & (values > _MIN_GAMMA)).all():
+                raise ValueError(
+                    f"the sampler can draw {name} from {values.min():.6g} to {values.max():.6g}; "
+                    f"each must be finite and above {_MIN_GAMMA!r}, for a finite reciprocal"
+                )
+
     def draws_per_trial(self, k: int) -> int:
         return k * (self.fading.draws_per_sensor + self.observation.draws_per_sensor)
 
@@ -247,8 +260,7 @@ def sample_batch(
     column-major (Fortran order) when k < _COLUMN_MAJOR_BELOW_K and row-major
     otherwise; the values do not depend on the layout.
     """
-    if k < 1:
-        raise ValueError("K must be >= 1")
+    k = _check_int("k", k, 1)
     u = _uniform_block(seed, start_trial, n_trials, model.draws_per_trial(k))
     n_fade = k * model.fading.draws_per_sensor
     fade = (
@@ -287,6 +299,7 @@ def mean_merit(model: NetworkModel, k: int = 1) -> float:
     random observation models use a 10^6-draw fixed-seed estimate of the
     observation factor, with the channel part still exact.
     """
+    k = _check_int("k", k, 1)
     mean_s = model.propagation.mean_channel_snr(k) * model.fading.mean_square
     if model.observation.kind == "fixed":
         sigma_sq = model.observation.variances(k, np.empty(0))

@@ -7,8 +7,14 @@ Subcommands:
   rate   -- evaluate the large-deviation rate function (and Chernoff bound)
   dinf   -- distortion floor of the large-network limit
 
-Exit codes: 0 success, 2 config/usage error, 3 infeasible target,
-4 internal invariant violation.
+Exit codes, by the error that ends the command (``main``'s table ``_EXITS``):
+  0  success
+  2  ``error:`` ValueError (ConfigError too), DivergentMGF, InsufficientData,
+     AllPowerZero and any other FadeFusionError
+  3  ``infeasible:`` InfeasibleTarget (and a ``feasibility_floor=`` line),
+     NoUsableSensor, a min-power sweep infeasible at every point
+  4  ``internal consistency failure:`` InternalConsistencyError,
+     ``convergence failure:`` ConvergenceFailure
 """
 
 from __future__ import annotations
@@ -52,18 +58,23 @@ from .analysis import (  # the four estimators stay importable from here
     RateFunctionQuery,
 )
 from .config import ConfigError, ExperimentConfig, config_hash, load_config, load_model_only
-from .errors import FadeFusionError, InfeasibleTarget, InternalConsistencyError
+from .errors import (ConvergenceFailure, FadeFusionError, InfeasibleTarget,
+                     InternalConsistencyError, NoUsableSensor)
 from .model import Snapshot, blue_mse
 from .units import parse_power, watts_to_dbm
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_INTERNAL = 4
 
 
 class _SweepInfeasible(FadeFusionError):
     """Every trial at every point of a min-power sweep was infeasible."""
+
+
+#: (error classes, exit code, stderr prefix) rows; ``main`` takes the first row that matches.
+_EXITS = (
+    ((InfeasibleTarget, _SweepInfeasible, NoUsableSensor), 3, "infeasible"),
+    (InternalConsistencyError, 4, "internal consistency failure"),
+    (ConvergenceFailure, 4, "convergence failure"),
+    ((FadeFusionError, ValueError), 2, "error"),  # ConfigError is a ValueError
+)
 
 
 def _fmt(value) -> str:
@@ -168,7 +179,7 @@ def _cmd_run(args) -> int:
         f"scenario={cfg.scenario} seed={cfg.seed} trials={cfg.trials} "
         f"points={len(rows)} wall_time={elapsed:.2f}s output={cfg.output}"
     )
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def _cmd_alloc(args) -> int:
                     ("threshold", diagnostics.threshold_constant),
                     ("dual", diagnostics.dual_value)]
     _print_allocation(snapshot, allocation, summary, args.machine)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +312,14 @@ def _cmd_rate(args) -> int:
     print(f"theta_star={_fmt(theta_star)}")
     if args.k is not None:
         print(f"chernoff_bound_k{args.k}={_fmt(chernoff_bound(args.k, value))}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_dinf(args) -> int:
     model = load_model_only(args.config, _parse_set(args.set))
     p_tot = parse_power(args.p_tot)
     print(f"d_infinity={_fmt(d_infinity(model, p_tot, k=args.k))}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +378,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleTarget as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        print(f"feasibility_floor={_fmt(exc.floor)}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _SweepInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (FadeFusionError, ValueError) as exc:
+        code, prefix = next((code, prefix) for kinds, code, prefix in _EXITS
+                            if isinstance(exc, kinds))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if isinstance(exc, InfeasibleTarget):
+            print(f"feasibility_floor={_fmt(exc.floor)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

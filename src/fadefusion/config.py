@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import FadingModel, NetworkModel, ObservationModel, PropagationModel
-from .model import SignalPrior
+from .model import SignalPrior, _check_int
 from .units import parse_gain, parse_power
 
 SCENARIOS = ("outage", "distortion", "outage-compare", "active-fraction", "min-power")
@@ -44,16 +44,13 @@ class SweepSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ConfigError("sweep needs at least one point")
+        object.__setattr__(self, "points", _check_int("sweep points", self.points, 1))
         if self.spacing not in ("log", "linear"):
             raise ConfigError("sweep spacing must be 'log' or 'linear'")
         if self.spacing == "log" and not (self.start > 0 and self.stop > 0):
             raise ConfigError("log-spaced sweeps need positive endpoints")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
         if self.spacing == "log":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
@@ -212,7 +209,8 @@ def load_config(path: str, *, overrides: Optional[dict[str, str]] = None) -> Exp
     Override precedence: overrides > file values > built-in defaults; every
     section and key must be one of the built-in defaults.  The default seed
     comes from the environment variable named by ``SEED_ENV_VAR``, falling
-    back to 0.
+    back to 0.  The ranges of k, trials, seed and workers are not checked
+    here: ``estimate_sweep`` checks them before any trial runs.
     """
     parser = _read_sections(path, overrides)
     exp = parser["experiment"]
@@ -223,8 +221,6 @@ def load_config(path: str, *, overrides: Optional[dict[str, str]] = None) -> Exp
     if not exp["k"].strip():
         raise ConfigError("[experiment] k is required")
     k_values = tuple(_parse_int("experiment", "k", v.strip()) for v in exp["k"].split(","))
-    if any(k < 1 for k in k_values):
-        raise ConfigError("every k must be >= 1")
     if scenario not in ("outage", "distortion") and len(k_values) != 1:
         raise ConfigError(f"scenario {scenario!r} takes a single k")
 
@@ -247,13 +243,9 @@ def load_config(path: str, *, overrides: Optional[dict[str, str]] = None) -> Exp
 
     raw_trials = exp["trials"].strip()
     trials = _parse_int("experiment", "trials", raw_trials) if raw_trials else 10_000
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
 
     raw_seed = exp["seed"].strip() or os.environ.get(SEED_ENV_VAR, "0")
     seed = _parse_int("experiment", "seed", raw_seed)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
 
     sweep_section = parser["sweep"]
     axis = sweep_section["axis"].strip().lower()
@@ -280,8 +272,6 @@ def load_config(path: str, *, overrides: Optional[dict[str, str]] = None) -> Exp
     out_section = parser["output"]
     output = out_section["path"]
     workers = _parse_int("output", "workers", out_section["workers"])
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
 
     return ExperimentConfig(
         scenario=scenario,

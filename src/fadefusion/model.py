@@ -17,6 +17,7 @@ All powers are in watts; dB conversions happen at the config boundary only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -29,17 +30,31 @@ from .errors import AllPowerZero
 #: Stored as IEEE +inf so that 1/gamma terms vanish exactly.
 NOISELESS = math.inf
 
-#: The largest gamma whose reciprocal overflows (1 / (1 / max float) rounds to +inf); a
-#: snapshot's gammas must lie above it.
+#: The largest value whose reciprocal overflows (1 / (1 / max float) rounds to +inf).  A
+#: snapshot's gammas, its nonzero channel SNRs and every positive parameter lie above it.
 _MIN_GAMMA = float(1.0 / np.finfo(float).max)
 
 
 def _check_positive(name: str, value: float, allow_inf: bool = False) -> float:
-    """``value`` as a float, if it is above 0 and finite (or +inf, with ``allow_inf``)."""
+    """``value`` as a float, if it is above ``_MIN_GAMMA`` and finite (or +inf, with
+    ``allow_inf``)."""
     value = float(value)
     if not (0 < value < math.inf or (allow_inf and value == math.inf)):
         finite = "" if allow_inf else " and finite"
         raise ValueError(f"{name} must be strictly positive{finite}, got {value}")
+    if value <= _MIN_GAMMA:
+        raise ValueError(f"{name} must be above {_MIN_GAMMA!r} (a finite 1/{name}), got {value}")
+    return value
+
+
+def _check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too, but not 3.0) in [low, high)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value >= high):
+        raise ValueError(f"{name} must be >= {low}" + ("" if high is None else f" and < {high}"))
     return value
 
 
@@ -72,8 +87,8 @@ class Snapshot:
     are read-only float arrays of length K.  Every ``gamma`` is strictly
     positive, with a finite 1/gamma (above ``_MIN_GAMMA``); ``NOISELESS``
     (``math.inf``) marks a sensor with zero observation noise so that the
-    1/gamma limit is exact.  Every ``s`` is finite and may be zero (a
-    channel in a deep fade contributes nothing).
+    1/gamma limit is exact.  Every ``s`` is finite and either zero (a
+    channel in a deep fade contributes nothing) or above ``_MIN_GAMMA``.
     Sensor order is identity: ranking and allocation results always refer
     back to these indices.
     """
@@ -91,10 +106,10 @@ class Snapshot:
         if not (gamma > _MIN_GAMMA).all():
             raise ValueError(
                 f"gamma must be strictly positive, not NaN, with a finite 1/gamma "
-                f"(above {_MIN_GAMMA!r}), got {gamma}"
+                f"(above {_MIN_GAMMA!r}), got {gamma.tolist()}"
             )
-        if not (np.isfinite(s) & (s >= 0)).all():
-            raise ValueError(f"s must be finite and >= 0, got {s}")
+        if not (np.isfinite(s) & ((s == 0) | (s > _MIN_GAMMA))).all():
+            raise ValueError(f"s must be finite and 0 or above {_MIN_GAMMA!r}, got {s.tolist()}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "s", s)
 

@@ -195,6 +195,10 @@ class TestChernoffBound:
     def test_values(self):
         assert ff.chernoff_bound(5, 0.0) == 1.0
         assert ff.chernoff_bound(10, 0.5) == pytest.approx(math.exp(-5.0), rel=1e-12)
+        assert ff.chernoff_bound(np.int64(10), 0.5) == ff.chernoff_bound(10, 0.5)
+        for k, message in ((3.0, "k must be an integer"), (0, "k must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                ff.chernoff_bound(k, 0.5)
 
     def test_empirical_tail_never_exceeds_bound(self):
         model = unit_gamma_model(mean_s=2.0)  # merit exponential with mean 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,10 @@ class TestModelValidation:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="path_loss_exponent must be finite"):
                 ff.PropagationModel(path_loss_exponent=bad)
+        for field in ("nominal_gain", "channel_noise_variance", "distance_m"):
+            message = rf"{field} must be above .* \(a finite 1/{field}\)"
+            with pytest.raises(ValueError, match=message):
+                ff.PropagationModel(**{field: 1e-320})
 
     def test_fading_kinds(self):
         with pytest.raises(ValueError):
@@ -228,6 +233,36 @@ class TestModelValidation:
                 ff.ObservationModel(kind="fixed", sigma_sq=bad)
             with pytest.raises(ValueError, match="sigma_sq must be strictly positive"):
                 ff.ObservationModel.fixed((0.01, bad))
+
+    def test_a_model_must_not_draw_unusable_snrs(self):
+        base = default_network()
+        for change in (
+            # gamma down to 1e-310: 1/gamma overflows
+            {"prior": ff.SignalPrior(1e-300), "observation": ff.ObservationModel.uniform(1, 1e10)},
+            # gamma overflows to inf
+            {"prior": ff.SignalPrior(1e10), "observation": ff.ObservationModel.fixed(1e-300)},
+            {"observation": ff.ObservationModel.lognormal(0.01, 200.0)},  # exp overflows
+            {"propagation": ff.PropagationModel(path_loss_exponent=186.0)},  # d**nu overflows
+            {"propagation": ff.PropagationModel(path_loss_exponent=-186.0)},  # s is inf
+            {"fading": ff.FadingModel(mean_square=1e-300)},  # the smallest fade is subnormal
+        ):
+            with pytest.raises(ValueError, match="the sampler can draw"):
+                dataclasses.replace(base, **change)
+        # The widest lognormal spread the near-tie tests sample still builds.
+        dataclasses.replace(base, observation=ff.ObservationModel.lognormal(0.01, 30.0))
+
+    def test_counts_and_seeds_are_integers_in_range(self):
+        for bad in (1.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ff.RngStream(bad)
+            with pytest.raises(ValueError, match="trial must be an integer"):
+                ff.RngStream(0, bad)
+        assert ff.RngStream(np.uint64(2**64 - 1), np.int32(3)) == ff.RngStream(2**64 - 1, 3)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ff.sample_batch(default_network(), 3.0, seed=0, start_trial=0, n_trials=1)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                ff.mean_merit(default_network(), k)
 
     def test_per_sensor_distances(self):
         prop = ff.PropagationModel(

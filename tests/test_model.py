@@ -18,6 +18,9 @@ class TestTypes:
             ff.SignalPrior(0.0)
         with pytest.raises(ValueError):
             ff.SignalPrior(-1.0)
+        for tiny in (1e-320, 1.0 / np.finfo(float).max):  # the solvers divide by it
+            with pytest.raises(ValueError, match="variance_theta must be above"):
+                ff.SignalPrior(tiny)
 
     def test_sensor_site_validation(self):
         bad = [
@@ -26,6 +29,7 @@ class TestTypes:
             ([math.nan], [1.0]),
             ([1.0], [math.nan]),
             ([1.0], [math.inf]),
+            ([1.0], [1e-320]),  # a nonzero s needs a finite 1/s
             ([1.0, 2.0], [1.0]),
             ([[1.0]], [[1.0]]),
         ]

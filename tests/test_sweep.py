@@ -269,6 +269,25 @@ class TestBoundaryValidation:
                 default_network(), 3, ff.EqualPolicy(), 0.02, 0.01, 100, 1, workers=workers
             )
 
+    @pytest.mark.parametrize(
+        "k, seed, workers, message",
+        [(3, 2**64, 1, "seed must be >= 0 and < "), (3, -1, 1, "seed must be >= 0 and < "),
+         (3.0, 1, 1, "k must be an integer"), (3, 1, 1.5, "workers must be an integer")],
+        ids=["seed-2**64", "seed--1", "k-3.0", "workers-1.5"],
+    )
+    def test_counts_and_seeds_must_be_integers_in_range(self, k, seed, workers, message):
+        with pytest.raises(ValueError, match=message):
+            ff.outage_probability(
+                default_network(), k, ff.EqualPolicy(), 0.02, 0.01, 100, seed, workers=workers
+            )
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        args = (default_network(), 3, ff.EqualPolicy(), 0.02, 0.01, 100, 2**64 - 1)
+        assert ff.outage_probability(*args) == ff.outage_probability(
+            args[0], np.int64(3), *args[2:5], np.int32(100), np.uint64(2**64 - 1),
+            workers=np.int64(1),
+        )
+
     def test_cli_sweep_through_zero_watts_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero.ini"
         config.write_text(
