@@ -20,7 +20,13 @@ the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
 separate from the batch kernels because they are the kernels' independent
 test reference.  Each row solver ranks its snapshot once, in
 ``_rank_row``; the capped clipping loop then drops clipped sensors from the
-ranked arrays instead of re-sorting the rest.
+ranked arrays instead of re-sorting the rest.  Its free sensors share the
+budget minus the caps of every clipped sensor, summed once, so its answer
+depends only on the final clipped set.  After its first clipping pass it
+runs ``capped_mse_batch``'s breakpoint scan on the one row
+(``_predict_clipped``) and clips the predicted sensors in the same pass; the
+next waterfill checks that prediction, and a refuted one reruns the plain
+loop, so the loop, not the scan, decides every answer.
 
 A chunk is a (trials, K) array, and the batch kernels keep the memory order
 they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
@@ -78,7 +84,7 @@ class CapVector:
     def __post_init__(self):
         caps = _frozen_vector(self.caps)
         if not (caps > 0).all():
-            raise ValueError("every cap must be > 0 (use math.inf for unbounded)")
+            raise ValueError("every cap must be > 0 (inf for unbounded)")
         object.__setattr__(self, "caps", caps)
 
     @classmethod
@@ -182,26 +188,35 @@ def max_performance_allocation(
     return Allocation(alpha), diagnostics
 
 
-def max_performance_with_caps(
-    snapshot: Snapshot, total_power: float, caps: CapVector
-) -> tuple[Allocation, AllocationDiagnostics]:
-    """Distortion-minimizing budgets under sum power plus per-sensor caps.
+def _predict_clipped(sqrt_eta, rise, fall, cap_power, budget: float) -> np.ndarray:
+    """Positions of the free sensors that sit at their caps once their spend reaches ``budget``.
 
-    Iterates: solve without caps, clip every violator to its cap, remove the
-    clipped sensors and their power from the problem, repeat.  Terminates in
-    at most K passes since each pass removes at least one sensor.  The
-    sensors are ranked once per call, and each pass runs on the ranked
-    per-sensor terms of the sensors still free: a stable ranking of a subset
-    is the full ranking with entries removed, so each pass makes the same
-    additions, in the same order, as a fresh waterfill over the free
-    sensors.  If the caps together cannot absorb the budget, everything ends
-    up clipped and the sum constraint is left slack at sum(caps).  A
-    remainder that rounds away against gamma/eta is left slack too where it
-    could add at most 1e-12 of the fused SNR.  ``capped_mse_batch`` solves
-    the same problem by one breakpoint scan and is tested against this loop.
+    ``capped_mse_batch``'s breakpoint scan on one row: at threshold c sensor k
+    spends clip(rise c - fall, 0, cap); it turns on at 1/sqrt(eta) and
+    reaches its cap cap/rise later.  It sits at its cap where the total
+    spend at its cap breakpoint is within the budget.  Only a prediction: the
+    clipping loop checks it.
     """
-    _check_budget(snapshot, total_power)
-    limits = caps.alpha_limits(snapshot)
+    k = rise.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        on = 1.0 / sqrt_eta
+        breaks = np.concatenate((on, on + cap_power / rise))
+        order = np.argsort(breaks, kind="stable")
+        steps = np.zeros((3, 2 * k))  # each breakpoint's step in B's slope, offset and capped power
+        steps[0, :k], steps[1, :k], steps[2, k:] = rise, fall, cap_power
+        np.negative(steps[:2, :k], out=steps[:2, k:])
+        slope, offset, capped = np.add.accumulate(steps[:, order], axis=1)
+        breaks = breaks[order]
+        spend = slope * breaks - offset + capped  # B at each breakpoint
+        return order[(order >= k) & np.isfinite(breaks) & (spend <= budget)] - k
+
+
+def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict: bool):
+    """``max_performance_with_caps``'s clipping loop: (alpha', threshold), or None.
+
+    None means the predicted clipped set failed its check; the loop without
+    prediction (``predict`` False) never returns None.
+    """
     gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
     order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
     # The free sensors' terms in rank order: gamma/sqrt(eta), gamma/eta, sqrt(eta), gamma/s and
@@ -211,39 +226,103 @@ def max_performance_with_caps(
     alpha = np.zeros(snapshot.k)
     # Dead sensors are not ranked.  One whose alpha limit rounds to 0 already sits at it, so it
     # counts as clipped in the first pass, and its cap comes off the budget.
-    pending = np.flatnonzero((eta == 0) & (limits == 0))
+    clipped = (eta == 0) & (limits == 0)
+    pending = clipped.any()
     budget = float(total_power)
     budget_dust = total_power * 1e-14  # clipping can leave rounding residue
-    threshold = math.nan
+    predicted = None  # sqrt(eta), gain and alpha limit of the sensors clipped on a prediction
+
+    def budget_left(at_cap):
+        # The free sensors share P minus every clipped cap, summed by sensor index: the budget
+        # depends only on the clipped set, not on how many passes found it.
+        return max(float(total_power) - float(np.add.reduce(caps[at_cap])), 0.0)
 
     for _ in range(snapshot.k + 1):
         if order.size == 0 or budget <= budget_dust:
-            break
+            if predicted is not None and budget <= budget_dust:
+                return None
+            return alpha, math.nan
         a, w = np.add.accumulate(ranked[:2], axis=1)
         sqrt_eta, gain, limit = ranked[2:]
         try:
             k1, c0 = _waterfill_cut(sqrt_eta, a, w, budget)
         except _BudgetRoundsAway:  # it adds at most budget * eta; unclipped, the sum below is 0
+            if predicted is not None:
+                return None
             if budget * eta[order[0]] > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
                 raise
-            break
+            return alpha, math.nan
         sub_alpha = np.zeros(order.size)
         sub_alpha[:k1] = gain[:k1] * np.maximum(c0 * sqrt_eta[:k1] - 1.0, 0.0)
         violated = sub_alpha >= limit
-        clipped = order[violated]
-        if pending.size:
-            clipped, pending = np.concatenate((clipped, pending)), pending[:0]
-        if not clipped.size:
+        if not (violated.any() or pending):
+            if predicted is not None:  # each predicted sensor must still reach its cap at c0
+                p_sqrt_eta, p_gain, p_limit = predicted
+                if (p_gain * np.maximum(c0 * p_sqrt_eta - 1.0, 0.0) < p_limit).any():
+                    return None
             alpha[order] = sub_alpha
-            threshold = float(c0)
-            break
-        clipped.sort()  # the caps add up by sensor index, not in rank order
-        alpha[clipped] = limits[clipped]
-        budget = max(budget - float(np.add.reduce(caps.caps[clipped])), 0.0)
+            return alpha, float(c0)
+        pending = False
+        clipped[order[violated]] = True
+        budget = budget_left(clipped)
         keep = ~violated
+        # After the first pass that clips, one scan predicts the rest of the clipped set.  It costs
+        # about one pass, so it runs only where it can save more: with three or more sensors free.
+        if predict and budget > budget_dust and np.count_nonzero(keep) > 2:
+            free = np.flatnonzero(keep)
+            at_cap = free[
+                _predict_clipped(sqrt_eta[free], *ranked[:2, free], caps[order[free]], budget)
+            ]
+            guess = clipped.copy()
+            guess[order[at_cap]] = True
+            left = budget_left(guess)
+            if at_cap.size and left > budget_dust:  # a guess that uses the budget up is not taken
+                predicted = ranked[2:, at_cap]
+                keep[at_cap] = False
+                clipped, budget = guess, left
+        predict = False
+        alpha[clipped] = limits[clipped]
         order, ranked = order[keep], ranked.compress(keep, axis=1)
-    else:
-        raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
+    raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
+
+
+def max_performance_with_caps(
+    snapshot: Snapshot, total_power: float, caps: CapVector
+) -> tuple[Allocation, AllocationDiagnostics]:
+    """Distortion-minimizing budgets under sum power plus per-sensor caps.
+
+    Iterates: solve without caps, clip every violator to its cap, remove the
+    clipped sensors from the problem, repeat.  The free sensors share the
+    budget minus the caps of every clipped sensor, summed once in
+    sensor-index order, so the result depends only on the final clipped set.
+    Terminates in at most K passes since each pass removes at least one
+    sensor.  The sensors are ranked once per call, and each pass runs on the
+    ranked per-sensor terms of the sensors still free: a stable ranking of a
+    subset is the full ranking with entries removed, so each pass makes the
+    same additions, in the same order, as a fresh waterfill over the free
+    sensors.
+
+    After the first pass that clips, ``capped_mse_batch``'s breakpoint scan
+    on the still-free sensors predicts the rest of the clipped set, and those
+    sensors are clipped in the same pass.  The next pass is the check: it
+    clips violators as before.  If a predicted sensor's uncapped budget at
+    the final threshold falls short of its cap, or a pass after the
+    prediction ends with the budget used up or rounding away, the solve
+    reruns the loop without prediction.  So a wrong prediction costs time
+    but never changes the answer.  The scan is skipped with fewer than three
+    sensors free, and a prediction that would use the whole budget up is not
+    taken.
+
+    If the caps together cannot absorb the budget, everything ends up
+    clipped and the sum constraint is left slack at sum(caps).  A remainder
+    that rounds away against gamma/eta is left slack too where it could add
+    at most 1e-12 of the fused SNR.  ``capped_mse_batch`` solves the same
+    problem by one breakpoint scan and is tested against this loop.
+    """
+    _check_budget(snapshot, total_power)
+    limits = caps.alpha_limits(snapshot)
+    solved = _clip_to_caps(snapshot, total_power, caps.caps, limits, True)
+    alpha, threshold = solved or _clip_to_caps(snapshot, total_power, caps.caps, limits, False)
 
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
@@ -677,7 +756,9 @@ def capped_mse_batch(
     sum-power kernel's b == w), and rows whose segment caps more power than
     the budget by more than rounding, which only a budget that rounds away
     reaches; cap_power may be +inf.
-    max_performance_with_caps, which clips iteratively, is its test reference.
+    max_performance_with_caps, which clips iteratively, is its test reference:
+    it runs this scan on one row only to predict its clipped set, and its own
+    waterfill passes check the prediction, so the two stay independent.
     """
     eta = s / (1.0 + 1.0 / gamma)
     sqrt_eta = np.sqrt(eta)

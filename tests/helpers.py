@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 import fadefusion as ff
-from fadefusion.allocation import _check_budget
+from fadefusion.allocation import _BudgetRoundsAway, _check_budget, _rank_row, _waterfill_cut
 
 
 def random_snapshot(rng: np.random.Generator, k: int | None = None, kmax: int = 8) -> ff.Snapshot:
@@ -184,6 +185,64 @@ def numeric_reference_allocation(
         raise ff.ConvergenceFailure("projected gradient reference solver exhausted its budget")
 
     return ff.Allocation(x)
+
+
+def clipping_oracle(snapshot: ff.Snapshot, total_power: float, caps: ff.CapVector):
+    """``max_performance_with_caps`` as the plain clipping loop: one waterfill a pass.
+
+    Solve without caps, clip every violator to its cap, take the clipped caps
+    off the budget pass by pass, repeat on the sensors still free.  Returns
+    (allocation, diagnostics, passes), ``passes`` being the waterfills made.
+    """
+    _check_budget(snapshot, total_power)
+    limits = caps.alpha_limits(snapshot)
+    gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
+    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
+    ranked = np.array((rise, gamma_u / eta_u, sqrt_eta, gamma_u / s[order], limits[order]))
+
+    alpha = np.zeros(snapshot.k)
+    pending = np.flatnonzero((eta == 0) & (limits == 0))
+    budget = float(total_power)
+    budget_dust = total_power * 1e-14
+    threshold = math.nan
+    passes = 0
+
+    for _ in range(snapshot.k + 1):
+        if order.size == 0 or budget <= budget_dust:
+            break
+        a, w = np.add.accumulate(ranked[:2], axis=1)
+        sqrt_eta, gain, limit = ranked[2:]
+        passes += 1
+        try:
+            k1, c0 = _waterfill_cut(sqrt_eta, a, w, budget)
+        except _BudgetRoundsAway:
+            if budget * eta[order[0]] > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
+                raise
+            break
+        sub_alpha = np.zeros(order.size)
+        sub_alpha[:k1] = gain[:k1] * np.maximum(c0 * sqrt_eta[:k1] - 1.0, 0.0)
+        violated = sub_alpha >= limit
+        clipped = order[violated]
+        if pending.size:
+            clipped, pending = np.concatenate((clipped, pending)), pending[:0]
+        if not clipped.size:
+            alpha[order] = sub_alpha
+            threshold = float(c0)
+            break
+        clipped.sort()
+        alpha[clipped] = limits[clipped]
+        budget = max(budget - float(np.add.reduce(caps.caps[clipped])), 0.0)
+        keep = ~violated
+        order, ranked = order[keep], ranked.compress(keep, axis=1)
+    else:
+        raise ff.InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
+
+    diagnostics = ff.AllocationDiagnostics(
+        active_count=int(np.count_nonzero(alpha > 0)),
+        threshold_constant=threshold,
+        dual_value=threshold**-2 if math.isfinite(threshold) else math.nan,
+    )
+    return ff.Allocation(alpha), diagnostics, passes
 
 
 def optimality_certificate(

@@ -16,6 +16,7 @@ from fadefusion.allocation import (
     sum_power_mse_batch,
 )
 from helpers import (
+    clipping_oracle,
     l2_grid_oracle,
     min_power_dual_oracle,
     numeric_reference_allocation,
@@ -211,8 +212,10 @@ class TestMaxPerformanceWithCaps:
 
 
 #: max_performance_with_caps results recorded from the clipping loop that re-ranked its free
-#: sensors on every pass: (gamma, s, total power, caps) -> (alpha' as float.hex, active count,
-#: threshold and dual value as float.hex), or the exception's type name and message.
+#: sensors on every pass and took each pass's clipped caps off the budget in turn, as
+#: ``helpers.clipping_oracle`` still does: (gamma, s, total power, caps) -> (alpha' as
+#: float.hex, active count, threshold and dual value as float.hex), or the exception's type
+#: name and message.
 PINNED_CAPPED = {
     "per-sensor caps, merit ties and a dead sensor": (
         ((10.0, 10.0, 5.0, 20.0, 10.0), (2.0, 2.0, 0.0, 1.0, 2.0), 1.0,
@@ -302,17 +305,178 @@ PINNED_CAPPED = {
 }
 
 
+#: The two pins whose clipped caps the solver takes off the budget in one sum where the oracle
+#: took them off pass by pass: their alphas move by up to 16 ulps, their thresholds by 1-3.
+PINNED_CAPPED_ONE_SUM = {
+    "five clip passes": (
+        ["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c17775p-2", "0x0.0p+0",
+         "0x1.25d5095143130p-1", "0x1.5f78dc0f6a955p-3", "0x1.eba2dba91a14ap-4",
+         "0x1.d59cd3c033a26p-4"],
+        7, "0x1.08d00e428cbd2p+1", "0x1.de7d41a90d550p-3",
+    ),
+    "six clip passes": (
+        ["0x0.0p+0", "0x1.31f487af0746bp-2", "0x1.da03092e0b3a6p-4", "0x0.0p+0",
+         "0x1.cc052a1e18c11p-1", "0x1.919abac37ca1bp-3", "0x0.0p+0", "0x1.99343cd6d94e7p-2",
+         "0x1.4e28cffdffbfdp-2", "0x1.172a3e22bdf90p-3", "0x1.bc8b6b9472868p-2",
+         "0x1.3a76369c3a56ap-1"],
+        9, "0x1.b15c5a02fab71p-1", "0x1.6556da2ff5704p+0",
+    ),
+}
+
+
+def pinned_result(solve, name):
+    """A pinned problem's result in PINNED_CAPPED's form, solved by ``solve``."""
+    (gamma, s, total_power, caps), _ = PINNED_CAPPED[name]
+    try:
+        alloc, diag = solve(snap(gamma, s), total_power, ff.CapVector(caps))[:2]
+    except ff.InternalConsistencyError as exc:
+        return type(exc).__name__, str(exc)
+    alphas = [x.hex() for x in alloc.alpha_prime.tolist()]
+    return alphas, diag.active_count, diag.threshold_constant.hex(), diag.dual_value.hex()
+
+
 @pytest.mark.parametrize("name", PINNED_CAPPED)
 def test_capped_allocations_keep_their_bytes(name):
-    (gamma, s, total_power, caps), expected = PINNED_CAPPED[name]
+    expected = PINNED_CAPPED_ONE_SUM.get(name, PINNED_CAPPED[name][1])
+    assert pinned_result(ff.max_performance_with_caps, name) == expected
+
+
+@pytest.mark.parametrize("name", PINNED_CAPPED)
+def test_the_clipping_oracle_keeps_the_pinned_bytes(name):
+    assert pinned_result(clipping_oracle, name) == PINNED_CAPPED[name][1]
+
+
+def capped_problems(rng, n, log_budgets=(-3.0, 3.0)):
+    """Random capped problems: (snapshot, budget, caps).
+
+    K 1-100, gamma log-uniform over 1e-2..1e4 and s over 1e-3..1e6, 10% dead
+    sensors and a quarter of the sensors copied onto others (ties).  The caps
+    are per sensor, uniform at 1, 1.5, 2, 3 or U(1, 4) times P/K, or unbounded.
+    """
+    for _ in range(n):
+        k = int(rng.integers(1, 101))
+        gamma = 10 ** rng.uniform(-2, 4, k)
+        s = np.where(rng.random(k) < 0.1, 0.0, 10 ** rng.uniform(-3, 6, k))
+        source, target = rng.integers(0, k, (2, k // 4))
+        gamma[target], s[target] = gamma[source], s[source]
+        p_tot = float(10 ** rng.uniform(*log_budgets))
+        kind = rng.integers(3)
+        if kind == 0:
+            caps = p_tot / k * 10 ** rng.uniform(-1, 1, k)
+        elif kind == 1:
+            caps = np.full(k, rng.choice([1.0, 1.5, 2.0, 3.0, rng.uniform(1, 4)]) * p_tot / k)
+        else:
+            caps = np.full(k, math.inf)
+        yield snap(gamma, s), p_tot, caps
+
+
+def solve_or_error(solve, *problem):
+    """``solve(*problem)``, or the type and message of the FadeFusionError it raised."""
     try:
-        alloc, diag = ff.max_performance_with_caps(snap(gamma, s), total_power, ff.CapVector(caps))
-    except ff.InternalConsistencyError as exc:
-        assert (type(exc).__name__, str(exc)) == expected
-        return
-    alphas = [x.hex() for x in alloc.alpha_prime.tolist()]
-    threshold, dual = diag.threshold_constant.hex(), diag.dual_value.hex()
-    assert (alphas, diag.active_count, threshold, dual) == expected
+        return solve(*problem)
+    except ff.FadeFusionError as exc:
+        return type(exc), str(exc)
+
+
+def result_bytes(result):
+    """An allocation result's alpha' bytes and threshold, or the error it raised."""
+    if isinstance(result[0], type):
+        return result
+    alloc, diag = result[:2]
+    return alloc.alpha_prime.tobytes(), diag.threshold_constant.hex(), diag.active_count
+
+
+def plain_loop(snapshot, total_power, caps):
+    """``max_performance_with_caps`` without the predicted clipped set."""
+    allocation._check_budget(snapshot, total_power)
+    limits = caps.alpha_limits(snapshot)
+    alpha, threshold = allocation._clip_to_caps(snapshot, total_power, caps.caps, limits, False)
+    diagnostics = ff.AllocationDiagnostics(int(np.count_nonzero(alpha > 0)), threshold, math.nan)
+    return ff.Allocation(alpha), diagnostics
+
+
+#: Forced predictions of the clipped set: positions among the free sensors, in rank order.
+FORCED_GUESSES = {
+    "everything": lambda free: np.arange(free),
+    "nothing": lambda free: np.arange(0),
+    "the weakest free sensor": lambda free: np.arange(free)[-1:],
+}
+
+
+class TestCappedSolverAgainstTheClippingOracle:
+    def test_agrees_with_the_oracle_and_the_batch_kernel(self):
+        rng = np.random.default_rng(19)
+        for s1, p_tot, cap in capped_problems(rng, 5000):
+            caps = ff.CapVector(cap)
+            expected = solve_or_error(clipping_oracle, s1, p_tot, caps)
+            got = solve_or_error(ff.max_performance_with_caps, s1, p_tot, caps)
+            if isinstance(expected[0], type):
+                assert got == expected
+                continue
+            (oracle, oracle_diag, passes), (alloc, diag) = expected, got
+            assert diag.active_count == oracle_diag.active_count
+            mse = ff.blue_mse(s1, oracle)  # math.isclose: pytest.approx would double the run time
+            assert math.isclose(ff.blue_mse(s1, alloc), mse, rel_tol=1e-12)
+            scale = 1e-9 * oracle.alpha_prime.max()
+            assert abs(alloc.total_power(s1) - oracle.total_power(s1)) <= scale
+            assert np.abs(alloc.alpha_prime - oracle.alpha_prime).max() <= scale
+            if passes <= 2:  # one clipping pass: the one-sum budget is the oracle's
+                assert result_bytes(got) == result_bytes(expected)
+                assert diag.dual_value.hex() == oracle_diag.dual_value.hex()
+            if (cap == cap[0]).all():
+                batch = capped_mse_batch(s1.gamma[None, :], s1.s[None, :], 1.0, p_tot, cap[0])
+                assert math.isclose(batch[0], mse, rel_tol=1e-9)
+
+    def test_alloc_scalar_solves_make_at_most_three_waterfills(self, monkeypatch):
+        # The alloc-scalar benchmark's capped solves: default network, 100 snapshots per K,
+        # budgets 1-25 mW, caps 1.5 P/K.  The clipping loop alone made up to 15 at K=100.
+        waterfills = []
+        waterfill_cut = allocation._waterfill_cut
+        monkeypatch.setattr(
+            allocation, "_waterfill_cut", lambda *args: waterfills.append(1) or waterfill_cut(*args)
+        )
+        model, rng = ff.default_network(), np.random.default_rng(7)
+        for k in (3, 20, 100):
+            for trial in range(100):
+                s1 = ff.sample_snapshot(model, k, ff.RngStream(7, trial))
+                p_tot = float(10 ** rng.uniform(-3.0, math.log10(0.025)))
+                waterfills.clear()
+                ff.max_performance_with_caps(s1, p_tot, ff.CapVector.uniform(k, 1.5 * p_tot / k))
+                assert len(waterfills) <= 3
+
+    @pytest.mark.parametrize("guess", FORCED_GUESSES)
+    def test_a_forced_prediction_gives_the_plain_loops_answer(self, monkeypatch, guess):
+        # Every clipped set that passes the check gives the plain loop's bytes, because the
+        # budget depends only on the clipped set; one that fails it reruns the plain loop.
+        refuted = []
+        clip_to_caps = allocation._clip_to_caps
+
+        def watched(*args):
+            result = clip_to_caps(*args)
+            refuted.append(result is None)
+            return result
+
+        monkeypatch.setattr(allocation, "_clip_to_caps", watched)
+        monkeypatch.setattr(
+            allocation, "_predict_clipped", lambda sqrt_eta, *_: FORCED_GUESSES[guess](sqrt_eta.size)
+        )
+        for s1, p_tot, cap in capped_problems(np.random.default_rng(20), 200):
+            caps = ff.CapVector(cap)
+            plain = solve_or_error(plain_loop, s1, p_tot, caps)
+            got = solve_or_error(ff.max_performance_with_caps, s1, p_tot, caps)
+            assert result_bytes(got) == result_bytes(plain)
+        assert any(refuted) == (guess == "the weakest free sensor")
+
+    def test_near_the_resolution_it_raises_only_consistency_errors_and_keeps_every_cap(self):
+        rng = np.random.default_rng(21)
+        for s1, p_tot, cap in capped_problems(rng, 2000, log_budgets=(-16.0, -8.0)):
+            if not s1.eta.any():
+                continue
+            try:
+                alloc, _ = ff.max_performance_with_caps(s1, p_tot, ff.CapVector(cap))
+            except ff.InternalConsistencyError:
+                continue
+            assert (alloc.transmit_powers(s1) <= np.nextafter(cap, math.inf)).all()
 
 
 class TestMinPower:

@@ -354,6 +354,27 @@ class TestAlloc:
         ]
         assert all(p <= 0.3 * (1 + 1e-9) for p in powers)
 
+    def test_per_sensor_caps_with_an_unbounded_one(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", SNAPSHOT_HET)
+        assert main(["alloc", path, "--budget", "0.9", "--caps", "0.3,inf,0.2", "--machine"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        powers = [float(line.split("transmit_w=")[1].split()[0]) for line in out[-3:]]
+        assert powers == pytest.approx([0.3, 0.6, 0.0], rel=1e-9, abs=1e-15)
+        assert "total_power_w=0.9" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--budget", "0.9", "--caps", "0.3,0.2"], "--caps needs 1 or 3 values, got 2"),
+            (["--target", "0.05", "--caps", "0.3"], "--caps applies to --budget solves only"),
+            (["--budget", "0.9", "--caps=0"], "every cap must be > 0 (inf for unbounded)"),
+        ],
+    )
+    def test_bad_caps_exit_2(self, tmp_path, capsys, argv, message):
+        path = write(tmp_path, "s.txt", SNAPSHOT_HET)
+        assert main(["alloc", path, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_target_exits_3_and_prints_floor(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", SNAPSHOT_ONE)
         assert main(["alloc", path, "--target", "0.001"]) == 3

@@ -99,6 +99,24 @@ def test_optimal_beats_capped_beats_equal(snapshot, p_tot, cap_scale):
     assert capped <= equal * (1 + REL)
 
 
+# c*sqrt(eta) - 1 moves in ulps of 1, so the sum-power solve spends in steps of about
+# (gamma/eta) * 2.2e-16 W: 2.2e-6 of a 1 mW budget at gamma 1e4 and s 1e-3, the corner of this
+# domain.  A budget of a few steps or less is overspent; the xfail example spends 4.8 times its
+# 5e-12 W in steps of 8e-12 W, and is expected to fail until the numerator is made
+# cancellation-free.
+SPEND_REL = 1e-4
+SPEND_STEPS = "the sum-power spend moves in steps of (gamma/eta) * eps (ROADMAP item 3)"
+
+
+@given(snapshots(), budgets)
+@example(ff.Snapshot.from_arrays(1.0, [2411.7], [0.067]), 5e-12).xfail(
+    reason=SPEND_STEPS, raises=AssertionError
+)
+def test_sum_power_allocation_spends_its_budget(snapshot, p_tot):
+    allocation, _ = ff.max_performance_allocation(snapshot, p_tot)
+    assert allocation.total_power(snapshot) == pytest.approx(p_tot, rel=SPEND_REL)
+
+
 @given(snapshots(), budgets, st.floats(1.0, 100.0))
 def test_optimal_distortion_does_not_grow_with_budget(snapshot, p_tot, factor):
     gamma, s = row_arrays(snapshot)
