@@ -15,14 +15,20 @@ binding constraint.
   powers under the distortion target (Newton on the dual multiplier).
 
 Each closed-form problem has one row path, the public solver, and one batch
-path for Monte Carlo chunks (the ``*_batch`` kernels), and every scan over
-the merit ranking cuts through ``_prefix_cut``.  The row solvers stay
-separate from the batch kernels because they are the kernels' independent
-test reference.  Each row solver ranks its snapshot once, in
-``_rank_row``; the capped clipping loop then drops clipped sensors from the
-ranked arrays instead of re-sorting the rest.  Its free sensors share the
-budget minus the caps of every clipped sensor, summed once, so its answer
-depends only on the final clipped set.  After its first clipping pass it
+path for Monte Carlo chunks (the ``*_batch`` kernels).  With u = 1/sqrt(eta)
+every threshold scan is a running sum of non-negative steps, so no gamma
+cancels against itself.  Under a sum power budget P sensor k is on once P
+passes its turn-on budget T_k = sum_{j<k} gamma_j u_j (u_k - u_j); under a
+fused-SNR requirement R once R u_k passes L_k = sum_{j<k} gamma_j
+(u_k - u_j) (the cut of ``_prefix_cut``).  A row solver's active sensor k
+gets (gamma_k/s_k)(c - u_k)/u_k with c - u_k = (c - u_last) + (u_last - u_k),
+u_last the largest u on (``_prefix_budgets``): two non-negative terms.
+The row solvers stay separate from the batch kernels because they are the
+kernels' independent test reference.  Each row solver ranks its snapshot
+once, in ``_rank_row``; the capped clipping loop then drops clipped sensors
+from the ranked arrays instead of re-sorting the rest.  Its free sensors
+share the budget minus the caps of every clipped sensor, summed once, so its
+answer depends only on the final clipped set.  After its first clipping pass it
 runs ``capped_mse_batch``'s breakpoint scan on the one row
 (``_predict_clipped``) and clips the predicted sensors in the same pass; the
 next waterfill checks that prediction, and a refuted one reruns the plain
@@ -125,42 +131,38 @@ def _check_budget(snapshot: Snapshot, total_power: float) -> None:
 def _rank_row(snapshot: Snapshot):
     """The snapshot's usable sensors (eta > 0) by descending merit, ties by index.
 
-    Returns (order, gamma, eta, sqrt(eta), gamma/sqrt(eta)), all but order ranked.
+    Returns (order, gamma, u = 1/sqrt(eta)), the last two ranked; u does not decrease.
     """
     order = np.argsort(-snapshot.eta, kind="stable")[: np.count_nonzero(snapshot.eta)]
-    gamma_u, eta_u = snapshot.gamma[order], snapshot.eta[order]
-    sqrt_eta = np.sqrt(eta_u)
-    return order, gamma_u, eta_u, sqrt_eta, gamma_u / sqrt_eta
+    return order, snapshot.gamma[order], 1.0 / np.sqrt(snapshot.eta[order])
 
 
-def _alpha_on_prefix(snapshot: Snapshot, order, gamma_u, sqrt_eta, k1: int, threshold):
-    """Budgets (gamma/s)(threshold*sqrt(eta) - 1)+ on the first k1 ranked sensors, 0 elsewhere.
+def _prefix_budgets(gain, u, k1: int, excess, den):
+    """Ranked budgets gain_k (c - u_k)/u_k on the first k1 sensors, 0 after.
 
-    ``order``, ``gamma_u`` and ``sqrt_eta`` are ``_rank_row``'s ranking and ranked terms.
+    ``gain`` is gamma/s in rank order.  With the anchor u_last = u[k1 - 1],
+    c - u_k is (c - u_last) + (u_last - u_k), two non-negative terms, and
+    c - u_last = ``excess``/``den``: the threshold's margin over the last
+    sensor on, level - lead there, over the scan's divisor.
     """
-    alpha = np.zeros(snapshot.k)
-    active = order[:k1]
-    alpha[active] = (
-        gamma_u[:k1] / snapshot.s[active] * np.maximum(threshold * sqrt_eta[:k1] - 1.0, 0.0)
-    )
+    alpha = np.zeros(u.size)
+    on = u[:k1]
+    alpha[:k1] = gain[:k1] * (excess / den + (on[-1] - on)) / on
     return alpha
 
 
-class _BudgetRoundsAway(InternalConsistencyError):
-    """A sum-power budget below the closed form's resolution: gamma/eta + P rounds to gamma/eta."""
+def _waterfill_row(rise, u, gain, total_power: float):
+    """Ranked budgets and threshold c0 of one sum-power waterfill.
 
-
-def _waterfill_cut(sqrt_eta, a, w, total_power: float):
-    """Cutoff k1 and threshold c0 of a ranked waterfill at one budget.
-
-    ``a`` and ``w`` are cumsum(gamma/sqrt(eta)) and cumsum(gamma/eta) over
-    the ranked sensors; sensor k is active iff c0 * sqrt(eta_k) > 1.
+    ``rise`` = gamma u and ``gain`` = gamma/s in rank order.  The k1 sensors
+    on are those whose turn-on budget T is below P, and c0 - u_last =
+    (P - T_last)/a, a = sum(gamma u) over them.
     """
-    b = w + total_power
-    k1 = int(_prefix_cut((sqrt_eta * b / a - 1.0)[None, :], "sum-power")[0])
-    if k1 == 0 or b[k1 - 1] == w[k1 - 1]:  # the budget rounded away against w
-        raise _BudgetRoundsAway("sum-power budget is below the closed form's resolution")
-    return k1, b[k1 - 1] / a[k1 - 1]
+    a = np.add.accumulate(rise)
+    turn_on = _lead((u[1:] - u[:-1])[None, :], a[None, :])[0]
+    k1 = int(np.count_nonzero(turn_on < total_power))
+    excess, a = total_power - turn_on[k1 - 1], a[k1 - 1]
+    return _prefix_budgets(gain, u, k1, excess, a), float(u[k1 - 1] + excess / a)
 
 
 def max_performance_allocation(
@@ -173,13 +175,10 @@ def max_performance_allocation(
     shut off entirely.
     """
     _check_budget(snapshot, total_power)
-    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
-    # np.add.accumulate is np.cumsum without its call overhead
-    k1, c0 = _waterfill_cut(
-        sqrt_eta, np.add.accumulate(rise), np.add.accumulate(gamma_u / eta_u), total_power
-    )
-    alpha = _alpha_on_prefix(snapshot, order, gamma_u, sqrt_eta, k1, c0)
-    c0 = float(c0)
+    order, gamma_u, u = _rank_row(snapshot)
+    ranked, c0 = _waterfill_row(gamma_u * u, u, gamma_u / snapshot.s[order], total_power)
+    alpha = np.zeros(snapshot.k)
+    alpha[order] = ranked
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
         threshold_constant=c0,
@@ -188,19 +187,18 @@ def max_performance_allocation(
     return Allocation(alpha), diagnostics
 
 
-def _predict_clipped(sqrt_eta, rise, fall, cap_power, budget: float) -> np.ndarray:
+def _predict_clipped(u, rise, fall, cap_power, budget: float) -> np.ndarray:
     """Positions of the free sensors that sit at their caps once their spend reaches ``budget``.
 
     ``capped_mse_batch``'s breakpoint scan on one row: at threshold c sensor k
-    spends clip(rise c - fall, 0, cap); it turns on at 1/sqrt(eta) and
-    reaches its cap cap/rise later.  It sits at its cap where the total
-    spend at its cap breakpoint is within the budget.  Only a prediction: the
-    clipping loop checks it.
+    spends clip(rise c - fall, 0, cap); it turns on at u and reaches its cap
+    cap/rise later.  It sits at its cap where the total spend at its cap
+    breakpoint is within the budget.  Only a prediction: the clipping loop
+    checks it.
     """
     k = rise.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        on = 1.0 / sqrt_eta
-        breaks = np.concatenate((on, on + cap_power / rise))
+        breaks = np.concatenate((u, u + cap_power / rise))
         order = np.argsort(breaks, kind="stable")
         steps = np.zeros((3, 2 * k))  # each breakpoint's step in B's slope, offset and capped power
         steps[0, :k], steps[1, :k], steps[2, k:] = rise, fall, cap_power
@@ -217,20 +215,19 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
     None means the predicted clipped set failed its check; the loop without
     prediction (``predict`` False) never returns None.
     """
-    gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
-    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
-    # The free sensors' terms in rank order: gamma/sqrt(eta), gamma/eta, sqrt(eta), gamma/s and
-    # the alpha limits, one row each, so that one gather drops the clipped sensors from all.
-    ranked = np.array((rise, gamma_u / eta_u, sqrt_eta, gamma_u / s[order], limits[order]))
+    order, gamma_u, u = _rank_row(snapshot)
+    # The free sensors' terms in rank order: gamma u, u, gamma/s and the alpha limits, one row
+    # each, so that one gather drops the clipped sensors from all.
+    ranked = np.array((gamma_u * u, u, gamma_u / snapshot.s[order], limits[order]))
 
     alpha = np.zeros(snapshot.k)
     # Dead sensors are not ranked.  One whose alpha limit rounds to 0 already sits at it, so it
     # counts as clipped in the first pass, and its cap comes off the budget.
-    clipped = (eta == 0) & (limits == 0)
+    clipped = (snapshot.eta == 0) & (limits == 0)
     pending = clipped.any()
     budget = float(total_power)
     budget_dust = total_power * 1e-14  # clipping can leave rounding residue
-    predicted = None  # sqrt(eta), gain and alpha limit of the sensors clipped on a prediction
+    predicted = None  # u, gain and alpha limit of the sensors clipped on a prediction
 
     def budget_left(at_cap):
         # The free sensors share P minus every clipped cap, summed by sensor index: the budget
@@ -242,26 +239,15 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
             if predicted is not None and budget <= budget_dust:
                 return None
             return alpha, math.nan
-        a, w = np.add.accumulate(ranked[:2], axis=1)
-        sqrt_eta, gain, limit = ranked[2:]
-        try:
-            k1, c0 = _waterfill_cut(sqrt_eta, a, w, budget)
-        except _BudgetRoundsAway:  # it adds at most budget * eta; unclipped, the sum below is 0
-            if predicted is not None:
-                return None
-            if budget * eta[order[0]] > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
-                raise
-            return alpha, math.nan
-        sub_alpha = np.zeros(order.size)
-        sub_alpha[:k1] = gain[:k1] * np.maximum(c0 * sqrt_eta[:k1] - 1.0, 0.0)
-        violated = sub_alpha >= limit
+        sub_alpha, c0 = _waterfill_row(*ranked[:3], budget)
+        violated = sub_alpha >= ranked[3]
         if not (violated.any() or pending):
             if predicted is not None:  # each predicted sensor must still reach its cap at c0
-                p_sqrt_eta, p_gain, p_limit = predicted
-                if (p_gain * np.maximum(c0 * p_sqrt_eta - 1.0, 0.0) < p_limit).any():
+                p_u, p_gain, p_limit = predicted
+                if (p_gain * (c0 - p_u) < p_limit * p_u).any():
                     return None
             alpha[order] = sub_alpha
-            return alpha, float(c0)
+            return alpha, c0
         pending = False
         clipped[order[violated]] = True
         budget = budget_left(clipped)
@@ -270,14 +256,13 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
         # about one pass, so it runs only where it can save more: with three or more sensors free.
         if predict and budget > budget_dust and np.count_nonzero(keep) > 2:
             free = np.flatnonzero(keep)
-            at_cap = free[
-                _predict_clipped(sqrt_eta[free], *ranked[:2, free], caps[order[free]], budget)
-            ]
+            rise, u = ranked[:2, free]
+            at_cap = free[_predict_clipped(u, rise, rise * u, caps[order[free]], budget)]
             guess = clipped.copy()
             guess[order[at_cap]] = True
             left = budget_left(guess)
             if at_cap.size and left > budget_dust:  # a guess that uses the budget up is not taken
-                predicted = ranked[2:, at_cap]
+                predicted = ranked[1:, at_cap]
                 keep[at_cap] = False
                 clipped, budget = guess, left
         predict = False
@@ -307,17 +292,16 @@ def max_performance_with_caps(
     sensors are clipped in the same pass.  The next pass is the check: it
     clips violators as before.  If a predicted sensor's uncapped budget at
     the final threshold falls short of its cap, or a pass after the
-    prediction ends with the budget used up or rounding away, the solve
-    reruns the loop without prediction.  So a wrong prediction costs time
-    but never changes the answer.  The scan is skipped with fewer than three
-    sensors free, and a prediction that would use the whole budget up is not
-    taken.
+    prediction ends with the budget used up, the solve reruns the loop
+    without prediction.  So a wrong prediction costs time but never changes
+    the answer.  The scan is skipped with fewer than three sensors free, and
+    a prediction that would use the whole budget up is not taken.
 
     If the caps together cannot absorb the budget, everything ends up
-    clipped and the sum constraint is left slack at sum(caps).  A remainder
-    that rounds away against gamma/eta is left slack too where it could add
-    at most 1e-12 of the fused SNR.  ``capped_mse_batch`` solves the same
-    problem by one breakpoint scan and is tested against this loop.
+    clipped and the sum constraint is left slack at sum(caps); so is a
+    remainder of at most 1e-14 of the budget, which clipping can leave as
+    rounding residue.  ``capped_mse_batch`` solves the same problem by one
+    breakpoint scan and is tested against this loop.
     """
     _check_budget(snapshot, total_power)
     limits = caps.alpha_limits(snapshot)
@@ -356,16 +340,17 @@ def min_power_allocation(
     _require_finite_gamma(snapshot)
     required = _check_target(snapshot, distortion_target)
 
-    order, gamma_u, _, sqrt_eta, rise = _rank_row(snapshot)
-    c = np.add.accumulate(rise)
-    u = 1.0 / sqrt_eta[None, :]
-    _, lead, prefix_gamma = _min_power_scan(u, gamma_u[None, :])
-    d = prefix_gamma[0] - required
-    k1 = int(_prefix_cut(1.0 - lead / (required * u), "min-power")[0])
-    if not d[k1 - 1] > 0:
+    order, gamma_u, u = _rank_row(snapshot)
+    prefix_gamma = np.add.accumulate(gamma_u)
+    lead = _lead((u[1:] - u[:-1])[None, :], prefix_gamma[None, :])[0]
+    k1 = int(_prefix_cut(1.0 - lead[None, :] / (required * u), "min-power")[0])
+    d = prefix_gamma[k1 - 1] - required
+    if not d > 0:
         raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
-    rho0 = float(c[k1 - 1] / d[k1 - 1])
-    alpha = _alpha_on_prefix(snapshot, order, gamma_u, sqrt_eta, k1, rho0)
+    excess = required * u[k1 - 1] - lead[k1 - 1]  # d (rho0 - u_last)
+    alpha = np.zeros(snapshot.k)
+    alpha[order] = _prefix_budgets(gamma_u / snapshot.s[order], u, k1, excess, d)
+    rho0 = float(u[k1 - 1] + excess / d)
 
     diagnostics = AllocationDiagnostics(
         active_count=int(np.count_nonzero(alpha > 0)),
@@ -466,8 +451,8 @@ def _cumsum_sensors(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
     if out is None:
         out = np.empty(x.shape, order="F")
     out[:, :1] = x[:, :1]
-    for j in range(1, x.shape[1]):
-        np.add(out[:, j - 1], x[:, j], out=out[:, j])
+    for before, column, into in zip(out.T, x.T[1:], out.T[1:]):  # views made by iteration
+        np.add(before, column, out=into)
     return out
 
 
@@ -493,15 +478,24 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _rank_batch(gamma: np.ndarray, s: np.ndarray):
-    """Each row ranked by descending merit: (eta, gamma, usable) in the chunk's memory order."""
+    """Each row ranked by descending merit, in the chunk's memory order.
+
+    Returns gamma and u = 1/sqrt(eta) on usable sensors (0 elsewhere), and the
+    usable mask (eta > 0); along a row u does not decrease until the unusable tail.
+    """
     eta = s / (1.0 + 1.0 / gamma)
     permute = _row_sorter(-eta)[1]
-    eta_r = permute(eta)
-    return eta_r, permute(gamma), eta_r > 0
+    u, g = permute(eta), permute(gamma)
+    dead = u == 0
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, np.sqrt(u, out=u), out=u)
+    u[dead] = 0.0
+    g[dead] = 0.0
+    return g, u, ~dead
 
 
 def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
-    """Per-row cutoff of a ranked threshold scan: its leading run of positive margins.
+    """Per-row cutoff of the min-power threshold scan: its leading run of positive margins.
 
     A positive margin after the run is a near-tie rounded the wrong way when
     <= 1e-12 and breaks the unique-cutoff property above.
@@ -520,63 +514,60 @@ def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
     return k1
 
 
-def _min_power_scan(u, gamma_r):
-    """Target-independent sums of the min-power scan over ranked rows.
+def _lead(du, prefix):
+    """Running sums lead_m = sum_{j<m} prefix_j du_j along ranked rows, ``du`` = diff(u).
 
-    Sensor m is active iff required*u_m > L_m, with u = 1/sqrt(eta) and
-    L_m = sum_{j<m} gamma_j (u_m - u_j): a sum of non-negative steps, so no
-    gamma cancels against itself (1 - d/(sqrt(eta)*c) loses every digit next
-    to a gamma above ~1e16).  ``u`` and ``gamma_r`` are 0 on unusable sensors.
-    Returns diff(u), L and cumsum(gamma); a target's margins are
-    1 - L/(required*u).
+    With prefix = cumsum(weights), lead_m = sum_{j<m} weights_j (u_m - u_j):
+    a sum of non-negative steps, in which no gamma cancels against itself
+    (1 - d/(sqrt(eta)*c) loses every digit next to a gamma above ~1e16).
+    Weights gamma give the min-power scan's L, weights gamma u the turn-on
+    budgets T.
     """
-    prefix_gamma = _cumsum_sensors(gamma_r)
-    du = u[:, 1:] - u[:, :-1]
-    lead = np.zeros(u.shape, order=_layout(u))  # not zeros_like: 1.4 us more on a scalar solve
-    _cumsum_sensors(prefix_gamma[:, :-1] * du, out=lead[:, 1:])
-    return du, lead, prefix_gamma
+    lead = np.empty((du.shape[0], du.shape[1] + 1), order=_layout(prefix))
+    lead[:, 0] = 0.0  # not np.zeros: calloc maps fresh pages, which fault in on first write
+    steps = np.multiply(prefix[:, : du.shape[1]], du, out=lead[:, 1:])
+    _cumsum_sensors(steps, out=steps)
+    return lead
 
 
 def _waterfill_prefix(gamma, s):
-    """Budget-independent sums over each row's usable sensors, ranked by merit.
+    """Budget-independent sums of the sum-power scan over each row's ranked sensors.
 
-    Returns sqrt(eta) and the prefix sums a = cumsum(gamma/sqrt(eta)),
-    w = cumsum(gamma/eta) and prefix_gamma = cumsum(gamma), in rank order.
+    Returns the turn-on budgets T (+inf on unusable sensors), w = cumsum(gamma
+    u^2), G = cumsum(gamma) and Q_m = sum_{j<k<=m} gamma_j gamma_k (u_k - u_j)^2,
+    which is G w - a^2 (Lagrange's identity, a = cumsum(gamma u)) without the
+    cancellation: Q = cumsum(gamma S2), S2_m = sum_{j<m} gamma_j (u_m - u_j)^2
+    = ``_lead`` of L_m + L_{m+1}.  The sums run down the columns of
+    column-major copies, the same bits as numpy's accumulate along a row,
+    which costs about 4 ns a value.
     """
-    eta_r, gamma_r, usable = _rank_batch(gamma, s)
-    sqrt_eta = np.sqrt(eta_r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums = [np.where(usable, gamma_r / scale, 0.0) for scale in (sqrt_eta, eta_r)]
-    sums.append(np.where(usable, gamma_r, 0.0))
-    for terms in sums:
-        _cumsum_sensors(terms, out=terms)
-    return sqrt_eta, *sums
+    g, u, usable = (np.asfortranarray(x) for x in _rank_batch(gamma, s))
+    du = u[:, 1:] - u[:, :-1]
+    prefix_gamma = _cumsum_sensors(g)
+    lead = _lead(du, prefix_gamma)
+    rise = g * u
+    w = _cumsum_sensors(np.multiply(rise, u, out=u), out=u)
+    turn_on = _lead(du, _cumsum_sensors(rise, out=rise))
+    turn_on[~usable] = np.inf
+    square = _lead(du, np.add(lead[:, :-1], lead[:, 1:], out=rise[:, 1:]))
+    return turn_on, w, prefix_gamma, _cumsum_sensors(np.multiply(g, square, out=g), out=g)
 
 
-def _waterfill_mse(sqrt_eta, a, w, prefix_gamma, total_power, sigma_theta_sq):
-    """Optimal distortion and cutoff index per row, one budget for every row.
+def _waterfill_mse(turn_on, w, prefix_gamma, q, total_power, sigma_theta_sq):
+    """Optimal distortion and active count per row, one budget for every row.
 
-    Rows with no usable sensor get mse = +inf and k1 = 0.  Rows where the
-    budget rounds away against w at the cut (b == w, the case in which
-    ``_waterfill_row`` raises) get mse = +inf: their closed form reads noise.
+    The k1 sensors whose turn-on budget is below P are on, and the fused SNR
+    G - a/c, c = (P + w)/a, is (G P + Q)/(P + w) at the cut.  Rows with no
+    usable sensor get mse = +inf and k1 = 0.
     """
-    margin = w + total_power  # becomes sqrt(eta) * b / a - 1, b = w + P
-    margin *= sqrt_eta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin /= a
-    margin -= 1.0
-    k1 = _prefix_cut(margin, "sum-power")
-    del margin  # a (trials, K) array; freed before the cut's row arrays are made
-    layout, rows, cut = _layout(a), np.arange(a.shape[0]), np.maximum(k1 - 1, 0)
+    k1 = np.add.reduce(turn_on < total_power, axis=1)
+    layout, rows, cut = _layout(w), np.arange(w.shape[0]), np.maximum(k1 - 1, 0)
     # The flat index of (row, k1-1) in the chunk's own memory order.
-    at_cut = cut * a.shape[0] + rows if layout == "F" else rows * a.shape[1] + cut
-    a_cut, w_cut = a.ravel(layout).take(at_cut), w.ravel(layout).take(at_cut)
-    b_cut = w_cut + total_power
-    c0 = b_cut / np.where(a_cut > 0, a_cut, 1.0)
-    solved = (k1 > 0) & (b_cut != w_cut)
-    c0 = np.where(solved, c0, np.nan)
-    total = np.where(solved, prefix_gamma.ravel(layout).take(at_cut) - a_cut / c0, 0.0)
-    return _mse_from_total(total, sigma_theta_sq), k1
+    at_cut = cut * w.shape[0] + rows if layout == "F" else rows * w.shape[1] + cut
+    w_cut, g_cut, q_cut = (x.ravel(layout).take(at_cut) for x in (w, prefix_gamma, q))
+    den = g_cut * total_power + q_cut
+    mse = sigma_theta_sq * (total_power + w_cut) / np.where(k1 > 0, den, 1.0)
+    return np.where(k1 > 0, mse, np.inf), k1
 
 
 def _mse_from_total(total: np.ndarray, sigma_theta_sq: float) -> np.ndarray:
@@ -678,15 +669,15 @@ def min_power_total_batch(
 def _min_power_rows(gamma, s):
     """Target-independent arrays of the min-power kernel, each row ranked by merit once.
 
-    Returns g = gamma and u = 1/sqrt(eta) on usable sensors (0 elsewhere), the
-    usable mask, ``_min_power_scan``'s diff(u), L and cumsum(g), and each
-    row's sensor-ordered total of live gamma (gamma where s > 0).
+    Returns ``_rank_batch``'s g = gamma, u and usable mask, diff(u), L and
+    cumsum(g) (``_lead``), and each row's sensor-ordered total of live gamma
+    (gamma where s > 0).
     """
-    eta_r, gamma_r, usable = _rank_batch(gamma, s)
-    g = np.where(usable, gamma_r, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(usable, 1.0 / np.sqrt(eta_r), 0.0)
-    return g, u, usable, *_min_power_scan(u, g), np.where(s > 0, gamma, 0.0).sum(axis=1)
+    g, u, usable = _rank_batch(gamma, s)
+    du = u[:, 1:] - u[:, :-1]
+    prefix_gamma = _cumsum_sensors(g)
+    lead = _lead(du, prefix_gamma)
+    return g, u, usable, du, lead, prefix_gamma, np.where(s > 0, gamma, 0.0).sum(axis=1)
 
 
 def _min_power_total(g, u, usable, du, lead, prefix_gamma, live_total, required):
@@ -713,27 +704,39 @@ def _min_power_total(g, u, usable, du, lead, prefix_gamma, live_total, required)
     return total, np.where(feasible, k1, 0), feasible
 
 
-def _spend_breakpoints(eta, sqrt_eta, gamma, cap_power):
-    """Sorted spend breakpoints of each row and running sums through each of them.
+def _segment_masks(on, at_cap, rise, fall, cap_power, total_power):
+    """Which sensors are on and which at their cap on the segment where B(c) reaches total_power.
 
-    Sensor k turns on at 1/sqrt(eta) and reaches its cap cap_power sqrt(eta)/gamma later
-    (+inf for a dead sensor or an unbounded cap).  Returns the sorted breakpoints and, up to
-    and including each, the sums of B's slope and offset and of the capped power; B(c) =
-    slope * c - offset + capped on the segment after it.  The capped power keeps its own
-    sum: added to the offset it would round to the ulp of gamma/eta.  Only finite cap
-    breakpoints add to it: a dead sensor never spends its cap.  The sort order and
-    the unsorted breakpoints die with this call, before the scan allocates.
+    Sensor k turns on at ``on`` = u and reaches its cap at ``at_cap`` (+inf
+    for a dead sensor or an unbounded cap); an on, uncapped sensor spends
+    rise * c - fall.  One sort of the 2K breakpoints and running sums give
+    B(c) = slope * c - offset + capped after each breakpoint.  The capped
+    power of the finite cap breakpoints keeps its own sum: added to the
+    offset it would round to the ulp of gamma/eta.  A breakpoint counts as
+    passed where the scan sorted it at or before the segment's start, so the
+    masks agree with the scan's own sums even where two breakpoints tie.
     """
-    k = gamma.shape[1]
-    rise, fall = gamma / sqrt_eta, gamma / eta  # an on, uncapped sensor spends rise * c - fall
-    breaks = np.concatenate([1.0 / sqrt_eta, 1.0 / sqrt_eta + cap_power / rise], axis=1)
+    k = on.shape[1]
+    breaks = np.concatenate([on, at_cap], axis=1)
     order, permute = _row_sorter(breaks)
     breaks = permute(breaks)
     sums = [permute(np.concatenate([step, -step], axis=1)) for step in (rise, fall)]
     sums.append(np.where((order >= k) & np.isfinite(breaks), cap_power, 0.0))
     for steps in sums:
         _cumsum_sensors(steps, out=steps)
-    return breaks, *sums
+    slope, offset, capped = sums
+    ends = breaks[:, 1:]  # the end of the segment after each breakpoint but the last
+    spend = slope[:, :-1] * ends
+    spend -= offset[:, :-1]
+    spend += capped[:, :-1]
+    # At a +inf end the spend is +inf if the open segment rises and NaN or -inf if it is flat;
+    # either way c lands on the open segment after the last finite breakpoint.
+    stop = spend >= total_power
+    last = ends.shape[1]
+    j = np.where(stop.any(axis=1), stop.argmax(axis=1), last)
+    passed = np.empty(order.shape, dtype=bool, order=_layout(on))
+    np.put_along_axis(passed, order, np.arange(2 * k) <= j[:, None], axis=1)
+    return passed[:, :k], passed[:, k:]
 
 
 def capped_mse_batch(
@@ -743,54 +746,48 @@ def capped_mse_batch(
 
     Peak-constrained waterfilling (Palomar & Fonollosa, IEEE Trans. Signal
     Process. 53(2), 2005): at threshold c sensor k spends
-    clip((gamma/eta)(c sqrt(eta) - 1), 0, cap), so a row's spend B(c) is
-    piecewise linear and non-decreasing, with a breakpoint where each sensor
-    turns on and where it reaches its cap.  One sort of the 2K breakpoints
-    and running sums of B's slope, offset and capped power find the first
-    segment whose end reaches total_power, or that is open (ends at +inf),
-    and c solves B(c) = total_power on it.  An open segment with a finite
-    cap has every live sensor at its cap: the caps cannot absorb the budget.
-    The distortion sums each sensor's x/(x/gamma + 1), x = alpha' s.  +inf
-    marks rows with no usable sensor, rows whose segment has no sensor at
-    its cap and a budget that rounds away against the segment's offset (the
-    sum-power kernel's b == w), and rows whose segment caps more power than
-    the budget by more than rounding, which only a budget that rounds away
-    reaches; cap_power may be +inf.
-    max_performance_with_caps, which clips iteratively, is its test reference:
-    it runs this scan on one row only to predict its clipped set, and its own
-    waterfill passes check the prediction, so the two stay independent.
+    clip(gamma_k u_k (c - u_k), 0, cap), u = 1/sqrt(eta).  ``_segment_masks``
+    finds the segment of this piecewise linear spend on which it reaches
+    total_power, and which sensors are on or capped there.  With the anchor
+    the largest u on, a free sensor's c - u_k is delta + (anchor - u_k), where
+    delta = max(P - caps - sum_free gamma u (anchor - u), 0) / sum_free gamma u,
+    and it adds gamma_k (delta + (anchor - u_k))/(delta + anchor) to the fused
+    SNR; a capped one adds x/(x/gamma + 1), x = cap eta.  +inf marks rows
+    with no usable sensor and rows whose segment caps more power than the
+    budget by more than rounding: the scan's spend, slope * end - offset,
+    still cancels, and a budget it loses lands on a later segment.
+    cap_power may be +inf.  max_performance_with_caps, which clips
+    iteratively, is its test reference: it runs the scan on one row only to
+    predict its clipped set, which its own waterfill passes check.
     """
     eta = s / (1.0 + 1.0 / gamma)
     sqrt_eta = np.sqrt(eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dead sensor's breakpoints sit at +inf
-        breaks, slope, offset, capped = _spend_breakpoints(eta, sqrt_eta, gamma, cap_power)
-        ends = breaks[:, 1:]  # the end of the segment after each breakpoint but the last
-        spend = slope[:, :-1] * ends
-        spend -= offset[:, :-1]
-        spend += capped[:, :-1]
-        # At a +inf end the spend is +inf if the open segment rises and NaN or -inf if it is
-        # flat; either way c lands on the open segment after the last finite breakpoint.
-        stop = spend >= total_power
-        last = ends.shape[1]
-        j = np.where(stop.any(axis=1), stop.argmax(axis=1), last)
-        rows = np.arange(gamma.shape[0])
-        end = np.where(j < last, breaks[rows, np.minimum(j + 1, last)], np.inf)
-        offset_j, capped_j = offset[rows, j], capped[rows, j]
-        numerator = total_power + offset_j
-        c = (numerator - capped_j) / slope[rows, j]
-        # Clamp to the segment, dropping NaN: a flat segment (every on sensor capped) gives 0/0.
-        c = np.fmin(np.fmax(c, breaks[rows, j]), end)
-        if math.isfinite(cap_power):  # an open segment's slope is rounding left after the last cap
-            c[np.isinf(end)] = np.inf
-        x = np.fmin(gamma * np.maximum(c[:, None] * sqrt_eta - 1.0, 0.0), cap_power * eta)
-        total = np.sum(x / (x / gamma + 1.0), axis=1)
-    # With no sensor at its cap the segment is _waterfill_mse's cut, and a budget that rounds
-    # away against offset = w leaves c reading noise: such rows are outages there too.  In exact
-    # arithmetic a segment's capped power stays below the budget, and its running sum of at
-    # most K caps rounds by less than K ulps; more is a budget that rounded away against the
-    # breakpoints, which lands on a later segment and spends caps the budget does not hold.
-    overspent = capped_j > total_power * (1.0 + gamma.shape[1] * np.finfo(float).eps)
-    total[((numerator == offset_j) & (capped_j == 0)) | overspent] = 0.0
+        u, rise = 1.0 / sqrt_eta, gamma / sqrt_eta
+        on, at_cap = _segment_masks(u, u + cap_power / rise, rise, gamma / eta, cap_power,
+                                    total_power)
+    # Masks multiply rather than select (np.where costs 5x a multiply), so a dead sensor's u is 0.
+    u = np.where(eta > 0, u, 0.0)
+    on &= eta > 0
+    at_cap &= on
+    free = on & ~at_cap
+    anchor = np.max(u * on, axis=1, keepdims=True)
+    lag = (anchor - u) * free
+    rise = gamma * u
+    caps = np.count_nonzero(at_cap, axis=1) * cap_power if math.isfinite(cap_power) else 0.0
+    left = np.maximum(total_power - caps - np.sum(rise * lag, axis=1), 0.0)
+    shared = np.sum(rise * free, axis=1)
+    delta = np.divide(left, shared, out=np.zeros_like(left), where=shared > 0)[:, None]
+    free &= rise * (delta + lag) < cap_power  # a segment found too early can overfill a cap
+    with np.errstate(invalid="ignore"):  # 0/0 in rows with nothing on, which are outages
+        total = np.sum(gamma * (delta + lag) / (delta + anchor) * free, axis=1)
+    if math.isfinite(cap_power):
+        x = cap_power * eta
+        total += np.sum(x / (x / gamma + 1.0) * (on & ~free), axis=1)
+    total[np.isnan(total)] = 0.0
+    # A segment's caps stay below the budget in exact arithmetic, and their sum rounds by less
+    # than K ulps; more is a budget the scan lost, which spends caps the budget does not hold.
+    total[caps > total_power * (1.0 + gamma.shape[1] * np.finfo(float).eps)] = 0.0
     return _mse_from_total(total, sigma_theta_sq)
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 import fadefusion as ff
-from fadefusion.allocation import _BudgetRoundsAway, _check_budget, _rank_row, _waterfill_cut
+from fadefusion.allocation import _check_budget, _rank_row, _waterfill_row
 
 
 def random_snapshot(rng: np.random.Generator, k: int | None = None, kmax: int = 8) -> ff.Snapshot:
@@ -196,12 +197,11 @@ def clipping_oracle(snapshot: ff.Snapshot, total_power: float, caps: ff.CapVecto
     """
     _check_budget(snapshot, total_power)
     limits = caps.alpha_limits(snapshot)
-    gamma, s, eta = snapshot.gamma, snapshot.s, snapshot.eta
-    order, gamma_u, eta_u, sqrt_eta, rise = _rank_row(snapshot)
-    ranked = np.array((rise, gamma_u / eta_u, sqrt_eta, gamma_u / s[order], limits[order]))
+    order, gamma_u, u = _rank_row(snapshot)
+    ranked = np.array((gamma_u * u, u, gamma_u / snapshot.s[order], limits[order]))
 
     alpha = np.zeros(snapshot.k)
-    pending = np.flatnonzero((eta == 0) & (limits == 0))
+    pending = np.flatnonzero((snapshot.eta == 0) & (limits == 0))
     budget = float(total_power)
     budget_dust = total_power * 1e-14
     threshold = math.nan
@@ -210,24 +210,15 @@ def clipping_oracle(snapshot: ff.Snapshot, total_power: float, caps: ff.CapVecto
     for _ in range(snapshot.k + 1):
         if order.size == 0 or budget <= budget_dust:
             break
-        a, w = np.add.accumulate(ranked[:2], axis=1)
-        sqrt_eta, gain, limit = ranked[2:]
         passes += 1
-        try:
-            k1, c0 = _waterfill_cut(sqrt_eta, a, w, budget)
-        except _BudgetRoundsAway:
-            if budget * eta[order[0]] > 1e-12 * np.sum(alpha * s / (alpha * s / gamma + 1.0)):
-                raise
-            break
-        sub_alpha = np.zeros(order.size)
-        sub_alpha[:k1] = gain[:k1] * np.maximum(c0 * sqrt_eta[:k1] - 1.0, 0.0)
-        violated = sub_alpha >= limit
+        sub_alpha, c0 = _waterfill_row(*ranked[:3], budget)
+        violated = sub_alpha >= ranked[3]
         clipped = order[violated]
         if pending.size:
             clipped, pending = np.concatenate((clipped, pending)), pending[:0]
         if not clipped.size:
             alpha[order] = sub_alpha
-            threshold = float(c0)
+            threshold = c0
             break
         clipped.sort()
         alpha[clipped] = limits[clipped]
@@ -243,6 +234,60 @@ def clipping_oracle(snapshot: ff.Snapshot, total_power: float, caps: ff.CapVecto
         dual_value=threshold**-2 if math.isfinite(threshold) else math.nan,
     )
     return ff.Allocation(alpha), diagnostics, passes
+
+
+def exact_waterfill(snapshot: ff.Snapshot, total_power: float, caps: ff.CapVector):
+    """``max_performance_with_caps`` in rational arithmetic on the float u = 1/sqrt(eta).
+
+    The solver's clipping loop with every waterfill exact: over the free
+    sensors in rank order, sensor k is on iff the budget B exceeds its turn-on
+    budget sum_{j<k} gamma_j u_j (u_k - u_j), the threshold is
+    c = (B + sum gamma u^2)/sum gamma u over the sensors on, and sensor k's
+    budget is (gamma_k/s_k)(c - u_k)/u_k.  As in the solver, a clipped sensor
+    sits at its float alpha limit, a dead one whose limit is 0 counts as
+    clipped, and the free sensors share B = P minus the clipped caps, summed
+    once in float in sensor-index order; a B of at most 1e-14 P is left
+    slack.  Returns (alpha' as floats, active count, threshold, dual value),
+    the last two NaN when the budget is left slack.
+    """
+    _check_budget(snapshot, total_power)
+    limits = caps.alpha_limits(snapshot)
+    gamma, s = [Fraction(x) for x in snapshot.gamma], [Fraction(x) for x in snapshot.s]
+    u = [Fraction(1.0 / math.sqrt(eta)) if eta > 0 else None for eta in snapshot.eta]
+    free = [int(i) for i in np.argsort(-snapshot.eta, kind="stable") if snapshot.eta[i] > 0]
+    clipped = (snapshot.eta == 0) & (limits == 0)
+    pending = clipped.any()
+    alpha = [Fraction(0)] * snapshot.k
+    threshold = None
+    for _ in range(snapshot.k + 1):
+        budget = Fraction(max(float(total_power) - float(np.add.reduce(caps.caps[clipped])), 0.0))
+        if not free or budget <= total_power * 1e-14:
+            break
+        on, lead = 0, Fraction(0)  # the sensors on, and the next sensor's turn-on budget
+        while on < len(free) and lead < budget:
+            on += 1
+            if on < len(free):
+                lead = sum(gamma[j] * u[j] * (u[free[on]] - u[j]) for j in free[:on])
+        c = (budget + sum(gamma[j] * u[j] ** 2 for j in free[:on])) / sum(
+            gamma[j] * u[j] for j in free[:on]
+        )
+        budgets = {j: gamma[j] / s[j] * (c - u[j]) / u[j] for j in free[:on]}
+        violated = [j for j in budgets if math.isfinite(limits[j]) and budgets[j] >= limits[j]]
+        if not (violated or pending):
+            alpha = [budgets.get(j, x) for j, x in enumerate(alpha)]
+            threshold = c
+            break
+        pending = False
+        for j in violated:
+            clipped[j] = True
+            alpha[j] = Fraction(limits[j])
+        free = [j for j in free if j not in violated]
+    else:
+        raise AssertionError("the exact clipping loop did not end in K passes")
+    alpha = [float(x) for x in alpha]
+    if threshold is None:
+        return alpha, sum(x > 0 for x in alpha), math.nan, math.nan
+    return alpha, sum(x > 0 for x in alpha), float(threshold), float(threshold**-2)
 
 
 def optimality_certificate(

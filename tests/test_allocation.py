@@ -17,6 +17,7 @@ from fadefusion.allocation import (
 )
 from helpers import (
     clipping_oracle,
+    exact_waterfill,
     l2_grid_oracle,
     min_power_dual_oracle,
     numeric_reference_allocation,
@@ -127,16 +128,34 @@ class TestMaxPerformance:
         with pytest.raises(ValueError):
             ff.max_performance_allocation(noiseless, 1.0)
 
-    def test_a_budget_below_resolution_raises_instead_of_returning_zeros(self):
-        # P*eta/gamma ~ 1e-21: c*sqrt(eta) - 1 rounds to 0 for every sensor
-        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
-            ff.max_performance_allocation(snap([10.0, 5.0], [1.0, 0.5]), 1e-20)
+    def test_a_budget_below_the_old_resolution_gets_its_exact_budget(self):
+        # P*eta/gamma ~ 1e-21, where c*sqrt(eta) - 1 rounded to 0: the top sensor alone is on,
+        # below the other's turn-on budget, and takes P as alpha' = P/(1 + 1/gamma).
+        s1 = snap([10.0, 5.0], [1.0, 0.5])
+        alloc, diag = ff.max_performance_allocation(s1, 1e-20)
+        assert alloc.alpha_prime[0] == pytest.approx(1e-20 / 1.1, rel=1e-15)
+        assert alloc.alpha_prime[1] == 0.0 and diag.active_count == 1
 
-    def test_a_budget_that_rounds_away_raises_instead_of_overspending(self):
-        # gamma/eta + P == gamma/eta, yet the margin rounds positive: the closed form would
-        # spend 4.4e-16 W of a 1e-30 W budget.
-        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
-            ff.max_performance_allocation(snap([1.0], [1.0]), 1e-30)
+    def test_a_budget_that_rounds_away_against_w_is_spent_exactly(self):
+        # gamma/eta + P == gamma/eta: the budgets no longer go through w + P.
+        s1 = snap([1.0], [1.0])
+        alloc, _ = ff.max_performance_allocation(s1, 1e-30)
+        assert alloc.total_power(s1) == pytest.approx(1e-30, rel=1e-15)
+
+    def test_a_small_budget_is_spent_not_overspent(self):
+        # c*sqrt(eta) - 1 moved the spend in steps of (gamma/eta) eps, here 8e-12 W: the solve
+        # spent 4.8 times its budget.
+        s1 = snap([2411.7], [0.067])
+        alloc, _ = ff.max_performance_allocation(s1, 5e-12)
+        assert alloc.total_power(s1) == pytest.approx(5e-12, rel=1e-12)
+
+    def test_a_budget_near_the_old_resolution_is_not_all_zeros(self):
+        # c0*sqrt(eta) - 1 rounded to 0 for the one sensor on: every budget came out 0.
+        s1 = snap([1460.865919914544, 0.28301997325650724],
+                  [5.438668327836193, 0.06019013992007565])
+        alloc, diag = ff.max_performance_allocation(s1, 8.478074357896895e-14)
+        assert diag.active_count == 1
+        assert alloc.total_power(s1) == pytest.approx(8.478074357896895e-14, rel=1e-12)
 
 
 class TestMaxPerformanceWithCaps:
@@ -181,23 +200,35 @@ class TestMaxPerformanceWithCaps:
         assert alloc.total_power(s1) == pytest.approx(1.0, rel=1e-12)
         assert alloc.transmit_powers(s1) == pytest.approx([0.5, 0.5], rel=1e-12)
 
-    def test_a_budget_left_after_clipping_that_rounds_away_is_dust(self):
-        # Clipping leaves 1e-13 W, above the loop's 1e-14 W dust but below the resolution
-        # against the free sensor's gamma/eta of 2e3: the loop stops with the sum slack.
+    def test_a_budget_left_after_clipping_that_rounds_away_against_w_is_spent(self):
+        # Clipping leaves 1e-13 W, above the loop's 1e-14 W dust, which rounds away against the
+        # free sensor's gamma/eta of 2e3 (w + P == w): the free sensor still takes all of it.
         s1 = snap([1.0, 1.0, 1.0], [100.0, 100.0, 1e-3])
         caps = ff.CapVector((0.5, 0.4999999999999, 1.0))
         alloc, diag = ff.max_performance_with_caps(s1, 1.0, caps)
-        np.testing.assert_array_equal(alloc.alpha_prime, caps.alpha_limits(s1) * [1, 1, 0])
-        assert diag.active_count == 2 and math.isnan(diag.threshold_constant)
+        np.testing.assert_array_equal(alloc.alpha_prime[:2], caps.alpha_limits(s1)[:2])
+        left = 1.0 - (0.5 + 0.4999999999999)
+        assert alloc.alpha_prime[2] == pytest.approx(left / 2.0, rel=1e-15)
+        assert diag.active_count == 3 and math.isfinite(diag.threshold_constant)
         reference = numeric_reference_allocation(s1, 1.0, caps)
         assert ff.blue_mse(s1, alloc) == pytest.approx(ff.blue_mse(s1, reference), rel=1e-12)
-        # With nothing clipped, a budget below the resolution still raises, and so does a
-        # remainder that could add more than 1e-12 of the fused SNR (here half the budget).
-        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
-            ff.max_performance_with_caps(snap([1.0], [1.0]), 1e-30, ff.CapVector.unbounded(1))
-        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
-            ff.max_performance_with_caps(snap([1.0, 1.0], [100.0, 1e-3]), 1e-13,
-                                         ff.CapVector((0.5e-13, 1.0)))
+
+    def test_unbounded_caps_spend_a_budget_below_the_old_resolution(self):
+        s1 = snap([1.0], [1.0])
+        capped, _ = ff.max_performance_with_caps(s1, 1e-30, ff.CapVector.unbounded(1))
+        plain, _ = ff.max_performance_allocation(s1, 1e-30)
+        assert capped.alpha_prime.tobytes() == plain.alpha_prime.tobytes()
+        assert capped.total_power(s1) == pytest.approx(1e-30, rel=1e-15)
+
+    def test_a_remainder_below_the_old_resolution_goes_to_the_free_sensor(self):
+        # The second sensor's gamma/eta of 2e3 swallowed the 5e-14 W left after the first one's
+        # cap, and the remainder could add half the fused SNR, so the solve raised.
+        s1 = snap([1.0, 1.0], [100.0, 1e-3])
+        caps = ff.CapVector((0.5e-13, 1.0))
+        alloc, _ = ff.max_performance_with_caps(s1, 1e-13, caps)
+        assert alloc.alpha_prime == pytest.approx([2.5e-14, 2.5e-14], rel=1e-12)
+        reference = numeric_reference_allocation(s1, 1e-13, caps)
+        assert alloc.alpha_prime == pytest.approx(reference.alpha_prime, rel=1e-6)
 
     def test_caps_never_exceeded_and_budget_tight(self):
         rng = np.random.default_rng(18)
@@ -211,27 +242,27 @@ class TestMaxPerformanceWithCaps:
             assert powers.sum() == pytest.approx(min(p_tot, cap * s1.k), rel=1e-10)
 
 
-#: max_performance_with_caps results recorded from the clipping loop that re-ranked its free
-#: sensors on every pass and took each pass's clipped caps off the budget in turn, as
-#: ``helpers.clipping_oracle`` still does: (gamma, s, total power, caps) -> (alpha' as
-#: float.hex, active count, threshold and dual value as float.hex), or the exception's type
-#: name and message.
+#: max_performance_with_caps results recorded from ``helpers.clipping_oracle``, the clipping loop
+#: that takes each pass's clipped caps off the budget in turn: (gamma, s, total power, caps) ->
+#: (alpha' as float.hex, active count, threshold and dual value as float.hex).  The names of the
+#: last three problems describe the budgets that the waterfill could not resolve while it
+#: evaluated c*sqrt(eta) - 1.
 PINNED_CAPPED = {
     "per-sensor caps, merit ties and a dead sensor": (
         ((10.0, 10.0, 5.0, 20.0, 10.0), (2.0, 2.0, 0.0, 1.0, 2.0), 1.0,
          (0.3, 0.2, 0.5, 1.0, 0.25)),
-        (["0x1.1745d1745d174p-2", "0x1.745d1745d1746p-3", "0x0.0p+0", "0x1.e79e79e79e820p-3",
+        (["0x1.1745d1745d174p-2", "0x1.745d1745d1746p-3", "0x0.0p+0", "0x1.e79e79e79e7a2p-3",
           "0x1.d1745d1745d17p-3"],
-         4, "0x1.0971dfb69201ap+0", "0x1.dc3690eb459ffp-1"),
+         4, "0x1.0971dfb692019p+0", "0x1.dc3690eb45a02p-1"),
     ),
     "five clip passes": (
         ((5.06, 13.21, 1.67, 4.16, 85.54, 55.67, 12.54, 2.3),
          (5.291, 1.733, 0.423, 0.27, 1.03, 0.3, 0.258, 7.524), 2.85,
          (0.3457, 1.05, 0.6122, 0.1564, 0.5806, 0.1747, 0.1296, 0.1645)),
-        (["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c17765p-2", "0x0.0p+0",
+        (["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c17759p-2", "0x0.0p+0",
           "0x1.25d5095143130p-1", "0x1.5f78dc0f6a955p-3", "0x1.eba2dba91a14ap-4",
           "0x1.d59cd3c033a26p-4"],
-         7, "0x1.08d00e428cbd1p+1", "0x1.de7d41a90d553p-3"),
+         7, "0x1.08d00e428cbd0p+1", "0x1.de7d41a90d557p-3"),
     ),
     "six clip passes": (
         ((2.21, 26.64, 20.76, 17.04, 57.88, 1.93, 91.55, 21.5, 36.37, 8.42, 38.85, 4.34),
@@ -242,7 +273,7 @@ PINNED_CAPPED = {
         (["0x0.0p+0", "0x1.31f487af0746bp-2", "0x1.da03092e0b3a6p-4", "0x0.0p+0",
           "0x1.cc052a1e18c11p-1", "0x1.919abac37ca1bp-3", "0x0.0p+0", "0x1.99343cd6d94e7p-2",
           "0x1.4e28cffdffbfdp-2", "0x1.172a3e22bdf90p-3", "0x1.bc8b6b9472868p-2",
-          "0x1.3a76369c3a565p-1"],
+          "0x1.3a76369c3a564p-1"],
          9, "0x1.b15c5a02fab6ep-1", "0x1.6556da2ff5709p+0"),
     ),
     "nine clip passes at K=20 with ties and dead sensors": (
@@ -254,17 +285,17 @@ PINNED_CAPPED = {
          (0.02707, 0.0311, 0.05113, 0.07559, 0.09932, 0.02401, 0.02674, 0.08306, 0.06243,
           0.07187, 0.11945, 0.10743, 0.08999, 0.0797, 0.03943, 0.06205, 0.02675, 0.07716,
           0.0769, 0.07192)),
-        (["0x0.0p+0", "0x0.0p+0", "0x1.a91bca5a78b25p-7", "0x0.0p+0", "0x1.8222670b73450p-5",
+        (["0x0.0p+0", "0x0.0p+0", "0x1.a91bca5a78b25p-7", "0x0.0p+0", "0x1.8222670b63a35p-5",
           "0x1.8783f688d860ap-6", "0x1.b40825399e228p-6", "0x0.0p+0", "0x1.ac2bcb78ddc55p-6",
           "0x1.2367eeed7353fp-5", "0x1.4aeda5170ad57p-4", "0x0.0p+0", "0x0.0p+0",
           "0x1.434c71629184ap-4", "0x1.3421d3bd9060ap-5", "0x1.374af6910617ep-5",
           "0x1.242e6bdc80576p-8", "0x1.3945d7d071e46p-4", "0x0.0p+0", "0x1.2afb296da4585p-6"],
-         13, "0x1.bd5bffb506eccp+1", "0x1.52581b9055a37p-4"),
+         13, "0x1.bd5bffb506ecbp+1", "0x1.52581b9055a38p-4"),
     ),
     "a 5e-324 cap whose alpha limit rounds to 0": (
         ((1.0, 2.0, 4.0), (1.0, 1.0, 1.0), 0.5, (5e-324, 0.3, 0.4)),
-        (["0x0.0p+0", "0x1.1111111111120p-4", "0x1.47ae147ae147bp-2"], 2,
-         "0x1.43fc603a308b1p+0", "0x1.3faac16606ecfp-1"),
+        (["0x0.0p+0", "0x1.1111111111111p-4", "0x1.47ae147ae147bp-2"], 2,
+         "0x1.43fc603a308b0p+0", "0x1.3faac16606ed1p-1"),
     ),
     "every cap 5e-324": (
         ((1.0, 1.0), (1.0, 2.0), 1.0, (5e-324, 5e-324)),
@@ -272,20 +303,22 @@ PINNED_CAPPED = {
     ),
     "a dead sensor whose alpha limit rounds to 0": (
         ((1.0, 1e-308), (1000000.0, 0.0), 1e-15, (math.inf, 2e-16)),
-        (["0x1.cd2b2bfdb4cc2p-52", "0x0.0p+0"], 1, "0x1.72ba440270593p-10",
+        (["0x1.cd2b297d889bdp-52", "0x0.0p+0"], 1, "0x1.72ba440270593p-10",
          "0x1.e847fff972473p+18"),
     ),
-    "a 1e-13 W remainder after clipping is dust": (
+    "a 1e-13 W remainder after clipping is spent": (
         ((1.0, 1.0, 1.0), (100.0, 100.0, 0.001), 1.0, (0.5, 0.4999999999999, 1.0)),
-        (["0x1.0000000000000p-2", "0x1.ffffffffff8f7p-3", "0x0.0p+0"], 2, "nan", "nan"),
+        (["0x1.0000000000000p-2", "0x1.ffffffffff8f7p-3", "0x1.c1fffffffffffp-45"], 3,
+         "0x1.65c55827df1d2p+5", "0x1.0624dd2f1a9fbp-11"),
     ),
     "a budget below the resolution with nothing clipped": (
         ((1.0,), (1.0,), 1e-30, (math.inf,)),
-        ("_BudgetRoundsAway", "sum-power budget is below the closed form's resolution"),
+        (["0x1.4484bfeebc2a1p-101"], 1, "0x1.6a09e667f3bccp+0", "0x1.0000000000001p-1"),
     ),
     "a remainder that could add more than 1e-12 of the fused SNR": (
         ((1.0, 1.0), (100.0, 0.001), 1e-13, (5e-14, 1.0)),
-        ("_BudgetRoundsAway", "sum-power budget is below the closed form's resolution"),
+        (["0x1.c25c268497682p-46", "0x1.c25c268497681p-46"], 2, "0x1.65c55827df1d2p+5",
+         "0x1.0624dd2f1a9fbp-11"),
     ),
     "caps that cannot absorb the budget": (
         ((10.0, 20.0), (1.0, 2.0), 10.0, (0.5, 0.5)),
@@ -293,8 +326,8 @@ PINNED_CAPPED = {
     ),
     "unbounded caps shut a poor sensor off": (
         ((50.0, 80.0, 60.0, 90.0), (8.0, 5.0, 4.0, 0.02), 10.0, (math.inf,) * 4),
-        (["0x1.da0884cc08706p+1", "0x1.0dff4532f4944p+2", "0x1.eb4b9f90b2cbap+0", "0x0.0p+0"],
-         3, "0x1.23263c5eaa3afp-1", "0x1.8bd6b2e9c3823p+1"),
+        (["0x1.da0884cc0870ap+1", "0x1.0dff4532f4949p+2", "0x1.eb4b9f90b2ccdp+0", "0x0.0p+0"],
+         3, "0x1.23263c5eaa3b0p-1", "0x1.8bd6b2e9c3821p+1"),
     ),
     "uniform caps clip the tied leaders": (
         ((5.0, 5.0, 5.0, 1.0), (2.0, 2.0, 2.0, 2.0), 6.0, (1.6, 1.6, 1.6, 1.6)),
@@ -305,21 +338,29 @@ PINNED_CAPPED = {
 }
 
 
-#: The two pins whose clipped caps the solver takes off the budget in one sum where the oracle
-#: took them off pass by pass: their alphas move by up to 16 ulps, their thresholds by 1-3.
+#: The pins whose clipped caps the solver takes off the budget in one sum where the oracle took
+#: them off pass by pass: their free budgets move by a few ulps.
 PINNED_CAPPED_ONE_SUM = {
     "five clip passes": (
-        ["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c17775p-2", "0x0.0p+0",
+        ["0x1.2794dc4c15e7ap-2", "0x1.f3c47a12a9fe9p-1", "0x1.0354820c1775bp-2", "0x0.0p+0",
          "0x1.25d5095143130p-1", "0x1.5f78dc0f6a955p-3", "0x1.eba2dba91a14ap-4",
          "0x1.d59cd3c033a26p-4"],
-        7, "0x1.08d00e428cbd2p+1", "0x1.de7d41a90d550p-3",
+        7, "0x1.08d00e428cbd1p+1", "0x1.de7d41a90d553p-3",
     ),
     "six clip passes": (
         ["0x0.0p+0", "0x1.31f487af0746bp-2", "0x1.da03092e0b3a6p-4", "0x0.0p+0",
          "0x1.cc052a1e18c11p-1", "0x1.919abac37ca1bp-3", "0x0.0p+0", "0x1.99343cd6d94e7p-2",
          "0x1.4e28cffdffbfdp-2", "0x1.172a3e22bdf90p-3", "0x1.bc8b6b9472868p-2",
-         "0x1.3a76369c3a56ap-1"],
-        9, "0x1.b15c5a02fab71p-1", "0x1.6556da2ff5704p+0",
+         "0x1.3a76369c3a568p-1"],
+        9, "0x1.b15c5a02fab70p-1", "0x1.6556da2ff5705p+0",
+    ),
+    "nine clip passes at K=20 with ties and dead sensors": (
+        ["0x0.0p+0", "0x0.0p+0", "0x1.a91bca5a78b25p-7", "0x0.0p+0", "0x1.8222670b63a2cp-5",
+         "0x1.8783f688d860ap-6", "0x1.b40825399e228p-6", "0x0.0p+0", "0x1.ac2bcb78ddc55p-6",
+         "0x1.2367eeed7353fp-5", "0x1.4aeda5170ad57p-4", "0x0.0p+0", "0x0.0p+0",
+         "0x1.434c71629184ap-4", "0x1.3421d3bd9060ap-5", "0x1.374af6910617ep-5",
+         "0x1.242e6bdc80576p-8", "0x1.3945d7d071e46p-4", "0x0.0p+0", "0x1.2afb296da4585p-6"],
+        13, "0x1.bd5bffb506ecbp+1", "0x1.52581b9055a38p-4",
     ),
 }
 
@@ -344,6 +385,25 @@ def test_capped_allocations_keep_their_bytes(name):
 @pytest.mark.parametrize("name", PINNED_CAPPED)
 def test_the_clipping_oracle_keeps_the_pinned_bytes(name):
     assert pinned_result(clipping_oracle, name) == PINNED_CAPPED[name][1]
+
+
+def ulps_apart(x: float, y: float) -> int:
+    """Floats between two non-negative floats, 0 for two NaNs."""
+    if math.isnan(x) and math.isnan(y):
+        return 0
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+@pytest.mark.parametrize("name", PINNED_CAPPED)
+def test_the_pins_are_within_16_ulps_of_the_exact_waterfill(name):
+    # Both the oracle's and the solver's bytes: the waterfill's roundings, not a lost digit.
+    (gamma, s, total_power, caps), oracle = PINNED_CAPPED[name]
+    exact = exact_waterfill(snap(gamma, s), total_power, ff.CapVector(caps))
+    alpha, active, threshold, dual = exact
+    for alphas, count, *constants in (oracle, PINNED_CAPPED_ONE_SUM.get(name, oracle)):
+        assert count == active
+        for pinned, exact in zip(alphas + constants, alpha + [threshold, dual]):
+            assert ulps_apart(float.fromhex(pinned), exact) <= 16
 
 
 def capped_problems(rng, n, log_budgets=(-3.0, 3.0)):
@@ -431,9 +491,9 @@ class TestCappedSolverAgainstTheClippingOracle:
         # The alloc-scalar benchmark's capped solves: default network, 100 snapshots per K,
         # budgets 1-25 mW, caps 1.5 P/K.  The clipping loop alone made up to 15 at K=100.
         waterfills = []
-        waterfill_cut = allocation._waterfill_cut
+        budgets = allocation._prefix_budgets
         monkeypatch.setattr(
-            allocation, "_waterfill_cut", lambda *args: waterfills.append(1) or waterfill_cut(*args)
+            allocation, "_prefix_budgets", lambda *args: waterfills.append(1) or budgets(*args)
         )
         model, rng = ff.default_network(), np.random.default_rng(7)
         for k in (3, 20, 100):
@@ -458,7 +518,7 @@ class TestCappedSolverAgainstTheClippingOracle:
 
         monkeypatch.setattr(allocation, "_clip_to_caps", watched)
         monkeypatch.setattr(
-            allocation, "_predict_clipped", lambda sqrt_eta, *_: FORCED_GUESSES[guess](sqrt_eta.size)
+            allocation, "_predict_clipped", lambda u, *_: FORCED_GUESSES[guess](u.size)
         )
         for s1, p_tot, cap in capped_problems(np.random.default_rng(20), 200):
             caps = ff.CapVector(cap)
@@ -477,6 +537,9 @@ class TestCappedSolverAgainstTheClippingOracle:
             except ff.InternalConsistencyError:
                 continue
             assert (alloc.transmit_powers(s1) <= np.nextafter(cap, math.inf)).all()
+            # The budget is spent, up to what the live sensors' caps can take.
+            spend = min(p_tot, float(np.sum(cap[s1.eta > 0])))
+            assert math.isclose(alloc.total_power(s1), spend, rel_tol=1e-12)
 
 
 class TestMinPower:
@@ -493,6 +556,13 @@ class TestMinPower:
         with pytest.raises(ff.InfeasibleTarget) as excinfo:
             ff.min_power_allocation(s1, 0.5)
         assert excinfo.value.floor == pytest.approx(1.0, rel=1e-12)
+
+    def test_meets_the_target_next_to_a_huge_gamma(self):
+        # c*sqrt(eta) - 1 rounded the 1e20 sensor's budget to 0, and the distortion read 1.8.
+        s1 = snap([3.0, 1e20, 5.0], [2.0, 1.0, 0.5])
+        alloc, diag = ff.min_power_allocation(s1, 0.1)
+        assert diag.active_count == 2
+        assert ff.blue_mse(s1, alloc) == pytest.approx(0.1, rel=1e-12)
 
     def test_matches_dual_bisection_oracle(self):
         rng = np.random.default_rng(19)
@@ -717,22 +787,27 @@ class TestBatchKernels:
         assert not feasible[0] and math.isinf(total[0])
         assert feasible[1] and math.isfinite(total[1])
 
-    def test_a_budget_that_rounds_away_is_an_outage(self):
-        # Row 0: gamma/eta + P == gamma/eta at the cut, where max_performance_allocation raises;
-        # the closed forms read 9.0e15 (sum-power) and 4.5e15 (unbounded caps), 2e30 exact.
-        # With a 1.5e-30 W cap its cap breakpoint rounds onto its turn-on breakpoint, and the
-        # scan spent the whole cap, 1.5x the budget: 1.33e30.
-        # Row 1 resolves the same budget (gamma/eta = 2e-31) and keeps its finite distortion.
+    def test_a_budget_that_rounds_away_against_w_gets_its_exact_distortion(self):
+        # Row 0: gamma/eta + P == gamma/eta, where the kernels reported an outage; sigma^2 (P + w)
+        # / (G P + Q) is 1 + 2e30 there.  Row 1 resolves the same budget (gamma/eta = 2e-31).
         gamma, s, p_tot = np.array([[1.0], [1.0]]), np.array([[1.0], [1e31]]), 1e-30
-        with pytest.raises(ff.InternalConsistencyError, match="resolution"):
-            ff.max_performance_allocation(snap([1.0], [1.0]), p_tot)
-        resolved = snap([1.0], [1e31])
-        exact = ff.blue_mse(resolved, ff.max_performance_allocation(resolved, p_tot)[0])
+        exact = 1.0 + 1.0 / (p_tot * s[:, 0] / 2.0)
         for mse in (sum_power_mse_batch(gamma, s, 1.0, p_tot)[0],
-                    capped_mse_batch(gamma, s, 1.0, p_tot, math.inf),
-                    capped_mse_batch(gamma, s, 1.0, p_tot, 1.5 * p_tot)):
-            assert math.isinf(mse[0])
-            assert mse[1] == pytest.approx(exact, rel=1e-12)
+                    capped_mse_batch(gamma, s, 1.0, p_tot, math.inf)):
+            assert mse == pytest.approx(exact, rel=1e-15)
+
+    def test_one_sensor_gets_the_exact_distortion_over_a_wide_grid(self):
+        # At K=1 the optimal distortion is sigma^2 (1/gamma + 1/(P eta)), here in rational
+        # arithmetic on the kernels' own eta.
+        gamma, s = (x.reshape(-1, 1) for x in np.meshgrid(np.geomspace(1e-2, 1e18, 21),
+                                                             np.geomspace(1e-3, 1e8, 12)))
+        eta = s / (1.0 + 1.0 / gamma)
+        for p_tot in np.geomspace(1e-14, 1e2, 17):
+            exact = [float(Fraction(2.5) * (1 / Fraction(g) + 1 / (Fraction(p_tot) * Fraction(e))))
+                     for g, e in zip(gamma[:, 0], eta[:, 0])]
+            for mse in (sum_power_mse_batch(gamma, s, 2.5, p_tot)[0],
+                        capped_mse_batch(gamma, s, 2.5, p_tot, math.inf)):
+                np.testing.assert_allclose(mse, exact, rtol=1e-15, atol=0)
 
     def test_the_batch_kernels_take_one_budget(self):
         gamma, s = np.ones((2, 3)), np.ones((2, 3))

@@ -381,15 +381,15 @@ class TestAlloc:
         err = capsys.readouterr().err
         assert "feasibility_floor=0.01" in err
 
-    def test_budget_below_resolution_exits_4(self, tmp_path, capsys):
+    def test_budget_below_the_old_resolution_exits_0_and_is_spent(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n10 1\n5 0.5\n")
-        assert main(["alloc", path, "--budget", "1e-20"]) == 4
-        assert "internal consistency failure" in capsys.readouterr().err
+        assert main(["alloc", path, "--budget", "1e-20"]) == 0
+        assert "total_power_w=1e-20  mse=1.1e+20  active_count=1" in capsys.readouterr().out
 
-    def test_budget_that_rounds_away_exits_4(self, tmp_path, capsys):
+    def test_budget_that_rounds_away_against_w_exits_0_and_is_spent(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n1 1\n")
-        assert main(["alloc", path, "--budget", "1e-30"]) == 4
-        assert "internal consistency failure" in capsys.readouterr().err
+        assert main(["alloc", path, "--budget", "1e-30"]) == 0
+        assert "total_power_w=1e-30  mse=2e+30  active_count=1" in capsys.readouterr().out
 
     def test_budget_on_dead_channels_exits_3_like_a_target(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n10 0\n5 0\n")

@@ -154,6 +154,15 @@ class TestOutageCountsAgainstKernels:
             near_one += min(want) >= 0.99 * trials
         assert emptied == near_one == 2 * len(POLICIES)
 
+    def test_counts_equal_the_kernels_on_a_row_whose_distortion_rose(self):
+        # A gamma of 6.7e14 next to two below 1: the old closed form read 2.438 at 1.189 W and
+        # 2.667 at 1.304 W, so the shrinking set dropped a row the kernel had back in outage.
+        gamma = np.array([[0.2097248702967326, 670417885968256.8, 0.2156751830664846]])
+        s = np.array([[13.899745940081491, 0.1494446240748971, 12576.07701457387]])
+        curve = Curve("outage", 3, (1.18901674244199, 1.3040319151841289), ff.OptimalPolicy(), 2.5)
+        want = kernel_outage_counts(curve.policy, 3, s, gamma, curve.d0, curve.points)
+        assert analysis._outage_counts(curve, s, gamma, 1.0) == [(count,) for count in want]
+
 
 class TestDistortionAndActiveAgainstKernels:
     """Distortion and active curves evaluate each policy's per-row arrays, built once per
