@@ -24,8 +24,11 @@ serves the whole run.  The four estimators are one-point calls into it.
 
 Outage curves are counted in ascending budget order on a shrinking set of
 trials: no policy's distortion rises with the budget, so each budget runs
-only on the trials still in outage at the one below it.  Each trial's
-distortion is the per-budget kernel's, bit for bit, so every count equals
+only on the trials still in outage at the one below it.  An optimal curve
+first drops the trials that the equal split, one of the splits the optimal
+allocation minimizes over, already keeps out of outage at the lowest budget,
+so only the rest are ranked and waterfilled.  Each trial's distortion is the
+per-budget kernel's, bit for bit, so every count equals
 ``count_nonzero(mse > d0)`` over the whole block.
 """
 
@@ -50,8 +53,8 @@ from .allocation import (
     _waterfill_mse,
     _waterfill_prefix,
     capped_mse_batch,
-    equal_power_mse_batch,  # this and sum_power_mse_batch stay importable from here
-    sum_power_mse_batch,
+    equal_power_mse_batch,
+    sum_power_mse_batch,  # unused here; stays importable, as perfbench's --trace 1 patches it here
 )
 from .channel import _MAX_SEED, NetworkModel, mean_merit, sample_batch
 from .errors import DivergentMGF, InsufficientData
@@ -175,11 +178,16 @@ class Curve:
 
 
 def _certain_outage(model: NetworkModel, curve: Curve) -> bool:
-    """An outage curve whose threshold is at or below a deterministic distortion floor."""
+    """An outage curve whose threshold is at or below a deterministic distortion floor.
+
+    The floor sigma^2 / sum(gamma) is taken as (sigma^2 / gamma_max) / sum(gamma / gamma_max),
+    so K gammas near the largest float do not overflow their sum.
+    """
     if curve.kind != "outage" or model.observation.kind != "fixed":
         return False
     gamma = model.prior.variance_theta / model.observation.variances(curve.k, np.empty(0))
-    floor = model.prior.variance_theta / float(gamma.sum())
+    largest = float(gamma.max())
+    floor = model.prior.variance_theta / largest / float((gamma / largest).sum())
     if curve.d0 > floor:
         return False
     # Name the first caller outside this module, through estimate_sweep or an estimator.
@@ -211,20 +219,40 @@ def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     raise TypeError(f"unknown policy {policy!r}")
 
 
+#: Relative margin below d0 of the equal-split screen of optimal outage curves.  It is far above
+#: the rounding that can put the optimal kernel over the equal split: at most 4 eps over 2.5M
+#: row-budget pairs (K 1-100, gamma 1e-2..1e18, s 1e-3..1e8 with 10% dead, P 1e-14..1e2 W).
+_SCREEN_MARGIN = 1e-9
+
+
 def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float) -> list:
     """Outage count of one block at each point of an outage curve.
 
     No policy's distortion rises with the budget, so a row out of outage at
     one budget stays out at every larger one.  The distinct budgets run in
     ascending order, each counting only the rows still in outage at the
-    budget below it, until no row is left.  The per-row arrays are gathered
-    down to those rows once they are at most 3/4 of the rows held: a gather
-    after every shrink cost more than it saved on slowly falling curves.
+    budget below it, until no row is left.  The arrays are gathered down to
+    those rows once they are at most 3/4 of the rows held: a gather after
+    every shrink cost more than it saved on slowly falling curves.
+
+    An optimal curve first screens the rows with the equal split at the
+    lowest budget.  The optimal allocation's distortion is at most the
+    equal split's, so a row whose equal-split distortion is at most
+    d0 (1 - ``_SCREEN_MARGIN``) is out of outage at every budget, and only
+    the rest are ranked and waterfilled.
     """
-    rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     counts = dict.fromkeys(curve.points, 0)
+    budgets = sorted(counts)
     live = np.arange(s.shape[0])  # the held rows still in outage
-    for budget in sorted(counts):
+    if isinstance(curve.policy, OptimalPolicy):
+        equal = equal_power_mse_batch(gamma, s, sigma_sq, budgets[0])
+        live = np.flatnonzero(equal > curve.d0 * (1.0 - _SCREEN_MARGIN))
+        if live.size == 0:
+            return [(0,)] * len(curve.points)
+        if 4 * live.size <= 3 * s.shape[0]:
+            s, gamma, live = _take_rows(s, live), _take_rows(gamma, live), np.arange(live.size)
+    rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
+    for budget in budgets:
         live = live[mse(budget, *rows)[live] > curve.d0]
         counts[budget] = live.size
         if live.size == 0:

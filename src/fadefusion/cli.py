@@ -20,6 +20,7 @@ Exit codes, by the error that ends the command (``main``'s table ``_EXITS``):
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -374,7 +375,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc ``mallopt`` parameters (malloc.h) and the values ``_hold_heap`` gives them.
+_HEAP_SETTINGS = (
+    (-1, 256 << 20),  # M_TRIM_THRESHOLD: keep up to 256 MiB of free heap top
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD: serve blocks below 32 MiB from the heap
+    (-2, 64 << 20),  # M_TOP_PAD: grow the heap 64 MiB past each request
+)
+
+
+def _hold_heap() -> None:
+    """Keep the temporaries that Monte Carlo chunks free in this process's heap.
+
+    glibc hands a freed block above its mmap threshold, and free heap top
+    above its trim threshold, back to the OS, so every (rows, K) temporary a
+    Monte Carlo kernel frees page-faults back in at the next step.  This
+    sets glibc's thresholds above a chunk's temporaries.  It acts only under
+    glibc and only if the caller set no ``MALLOC_*_`` or ``GLIBC_TUNABLES``
+    variable, which would mean they tuned the allocator themselves.  Pool
+    workers inherit the settings through fork; the library never changes
+    its caller's allocator.  Calling it again changes nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):  # not glibc, or no confstr at all
+        return
+    if "GLIBC_TUNABLES" in os.environ or any(
+        name.startswith("MALLOC_") and name.endswith("_") for name in os.environ
+    ):
+        return
+    mallopt = ctypes.CDLL(None).mallopt  # int mallopt(int param, int value)
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _hold_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fadefusion as ff
+from fadefusion.analysis import Curve, _certain_outage
 from fadefusion.channel import default_network
 from test_channel import unit_gamma_model
 
@@ -37,6 +38,19 @@ class TestOutageProbability:
         for d0 in (0.004, 0.02):
             with pytest.raises(ValueError, match="sigma_sq has 2 entries but K=3"):
                 ff.outage_probability(model, 3, ff.EqualPolicy(), d0, 0.01, 1_000, seed=1)
+
+    def test_the_floor_of_gammas_near_the_largest_float_does_not_overflow(self):
+        # 52 gammas of 4.6e307 sum past the largest float; under the suite's
+        # error::RuntimeWarning filter, an overflowing sum would raise here.
+        model = default_network(sigma_theta_sq=2e72, sigma_k_sq=4.38e-236)
+        curve = Curve("outage", 52, (0.01,), ff.OptimalPolicy(), 0.01799)
+        assert not _certain_outage(model, curve)
+
+    def test_a_floor_blocked_curve_of_huge_gammas_still_warns(self):
+        model = default_network(sigma_theta_sq=2e72, sigma_k_sq=4.38e-236)
+        curve = Curve("outage", 52, (0.01,), ff.EqualPolicy(), 4e-238)  # floor 4.38e-236/52
+        with pytest.warns(UserWarning, match="distortion floor 8.42308e-238"):
+            assert _certain_outage(model, curve)
 
     def test_single_sensor_matches_analytic_form(self):
         model = default_network()

@@ -108,17 +108,24 @@ def test_optimal_distortion_does_not_grow_with_budget(snapshot, p_tot, factor):
     assert mse[1] <= mse[0] * (1 + REL)
 
 
-# The round trip is ill-conditioned near the floor: a rounding of the distortion target moves the
-# cheapest power by about eps * mse / (mse - floor) relative, 6.5e-12 at gamma 1, s 100 and
-# P 1000 W even with exact kernels.
-ROUND_TRIP_REL = 1e-9
+# A rounding of the distortion target moves the cheapest power by kappa times as much, relative,
+# with kappa = d ln P / d ln(1/mse) = F / (P dF/dP) the condition of the round trip (F the fused
+# SNR, dF/dP the dual value).  At K=1 kappa is mse / (mse - floor), 5e7 at gamma 1, s 1e5 and
+# P 1000 W; with more sensors it can be far larger, as when the strongest channel has saturated
+# its sensor and a weak channel carries the slope.  Over 24 000 random examples the error stayed
+# within 4 eps kappa.
+ROUND_TRIP_EPS = 8
 
 
 @given(snapshots(), budgets)
+@example(ff.Snapshot.from_arrays(1.0, [1.0], [1e5]), 1000.0)  # 8.3e-9 off: kappa is 5e7
 def test_min_power_at_the_optimal_distortion_round_trips(snapshot, p_tot):
-    allocation, _ = ff.max_performance_allocation(snapshot, p_tot)
-    cheapest, _ = ff.min_power_allocation(snapshot, ff.blue_mse(snapshot, allocation))
-    assert cheapest.total_power(snapshot) == pytest.approx(p_tot, rel=ROUND_TRIP_REL)
+    allocation, diagnostics = ff.max_performance_allocation(snapshot, p_tot)
+    mse = ff.blue_mse(snapshot, allocation)
+    cheapest, _ = ff.min_power_allocation(snapshot, mse)
+    kappa = 1.0 / (mse * p_tot * diagnostics.dual_value)  # the prior variance is 1
+    rel = ROUND_TRIP_EPS * np.finfo(float).eps * kappa
+    assert cheapest.total_power(snapshot) == pytest.approx(p_tot, rel=rel, abs=0.0)
 
 
 #: Adjacent budgets of the search that found optimal distortions rising with the budget:

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fadefusion as ff
 import fadefusion.analysis as analysis
 from fadefusion.analysis import Curve, estimate_sweep
 from fadefusion.channel import default_network
 from fadefusion.cli import main
+from test_properties import log_uniform
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -162,6 +165,67 @@ class TestOutageCountsAgainstKernels:
         curve = Curve("outage", 3, (1.18901674244199, 1.3040319151841289), ff.OptimalPolicy(), 2.5)
         want = kernel_outage_counts(curve.policy, 3, s, gamma, curve.d0, curve.points)
         assert analysis._outage_counts(curve, s, gamma, 1.0) == [(count,) for count in want]
+
+
+#: Channel SNRs over 1e-3..1e8, one in ten dead.
+channel_snrs = st.tuples(log_uniform(-3, 8), st.integers(0, 9)).map(lambda x: x[0] if x[1] else 0.0)
+
+
+class TestEqualSplitScreen:
+    """An optimal outage curve drops the rows whose equal-split distortion at the lowest
+    budget is at most d0 (1 - 1e-9): the optimal allocation never does worse than the equal
+    split, so those rows are out of outage at every budget.  The per-budget kernels on every
+    row are the oracle, on the screen's edge and at extreme magnitudes."""
+
+    BUDGETS = (0.003, 0.001, 0.01)  # unsorted
+
+    def check(self, k, s, gamma, d0, budgets):
+        curve = Curve("outage", k, tuple(budgets), ff.OptimalPolicy(), d0)
+        want = kernel_outage_counts(curve.policy, k, s, gamma, d0, curve.points)
+        assert analysis._outage_counts(curve, s, gamma, 1.0) == [(count,) for count in want]
+        return want
+
+    def test_a_threshold_at_a_rows_own_equal_split_distortion(self):
+        # At K=1 the optimal and equal distortions are the same number in exact arithmetic; in
+        # floats the optimal kernel reads one ulp above the equal split on about a quarter of
+        # these rows.  With d0 its own equal-split value, such a row is in outage at the lowest
+        # budget, and a screen without its margin would drop it.
+        s, gamma = ff.sample_batch(default_network(), 1, 31, 0, 400)
+        lowest = min(self.BUDGETS)
+        equal = analysis.equal_power_mse_batch(gamma, s, 1.0, lowest)
+        above = analysis.sum_power_mse_batch(gamma, s, 1.0, lowest)[0] > equal
+        rows = np.concatenate([np.flatnonzero(above)[:20], np.flatnonzero(~above)[:20]])
+        assert rows.size == 40
+        for row in rows:
+            want = self.check(1, s[[row]], gamma[[row]], float(equal[row]), self.BUDGETS)
+            assert want[self.BUDGETS.index(lowest)] == above[row]
+        self.check(1, s, gamma, float(equal[rows[0]]), self.BUDGETS)
+
+    def test_rows_with_every_channel_dead_stay_in_outage(self):
+        s, gamma = ff.sample_batch(default_network(), 3, 32, 0, 300)
+        s[::3] = 0.0
+        want = self.check(3, s, gamma, 0.02, self.BUDGETS)
+        assert min(want) >= 100
+        assert self.check(3, np.zeros_like(s), gamma, 0.02, self.BUDGETS) == [300] * 3
+
+    @given(
+        st.sampled_from([1, 3, 20]).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+            st.tuples(st.lists(log_uniform(-2, 18), min_size=k, max_size=k),
+                      st.lists(channel_snrs, min_size=k, max_size=k)),
+            min_size=1, max_size=6))),
+        st.lists(log_uniform(-14, 2), min_size=1, max_size=4),
+        st.integers(0, 5),
+        st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-16, 1.0 + 2e-16, 0.5, 2.0]),
+    )
+    def test_counts_equal_the_kernels_at_extreme_magnitudes(self, rows, budgets, pick, factor):
+        # gamma 1e-2..1e18, s 1e-3..1e8 with one in ten dead, budgets 1e-14..1e2 W; d0 sits on
+        # or next to one row's equal-split distortion at the lowest budget.
+        k, rows = rows
+        gamma, s = (np.array(x) for x in zip(*rows))
+        if k < 8:  # as sample_batch hands them out
+            gamma, s = np.asfortranarray(gamma), np.asfortranarray(s)
+        equal = analysis.equal_power_mse_batch(gamma, s, 1.0, min(budgets))[pick % len(rows)]
+        self.check(k, s, gamma, float(equal) * factor if math.isfinite(equal) else 1.0, budgets)
 
 
 class TestDistortionAndActiveAgainstKernels:
