@@ -19,20 +19,22 @@ path for Monte Carlo chunks (the ``*_batch`` kernels).  With u = 1/sqrt(eta)
 every threshold scan is a running sum of non-negative steps, so no gamma
 cancels against itself.  Under a sum power budget P sensor k is on once P
 passes its turn-on budget T_k = sum_{j<k} gamma_j u_j (u_k - u_j); under a
-fused-SNR requirement R once R u_k passes L_k = sum_{j<k} gamma_j
-(u_k - u_j) (the cut of ``_prefix_cut``).  A row solver's active sensor k
-gets (gamma_k/s_k)(c - u_k)/u_k with c - u_k = (c - u_last) + (u_last - u_k),
-u_last the largest u on (``_prefix_budgets``): two non-negative terms.
+fused-SNR requirement R while R u_k - sum_{j<k} gamma_j (u_k - u_j), summed
+in steps of the sign of R - cumsum(gamma), is positive (``_min_power_cut``).
+A row solver's active sensor k gets (gamma_k/s_k)(c - u_k)/u_k with c - u_k =
+(c - u_last) + (u_last - u_k), u_last the largest u on (``_prefix_budgets``):
+two non-negative terms.
 The row solvers stay separate from the batch kernels because they are the
 kernels' independent test reference.  Each row solver ranks its snapshot
 once, in ``_rank_row``; the capped clipping loop then drops clipped sensors
 from the ranked arrays instead of re-sorting the rest.  Its free sensors
 share the budget minus the caps of every clipped sensor, summed once, so its
-answer depends only on the final clipped set.  After its first clipping pass it
-runs ``capped_mse_batch``'s breakpoint scan on the one row
-(``_predict_clipped``) and clips the predicted sensors in the same pass; the
-next waterfill checks that prediction, and a refuted one reruns the plain
-loop, so the loop, not the scan, decides every answer.
+answer depends only on the final clipped set.  After its first clipping pass
+``_predict_clipped``, a one-row copy of ``_segment_masks``'s breakpoint sums
+(43-52 us a row, the copy 18-27 us, at K = 3-100 on a 2-core Xeon), predicts
+the rest of the clipped set; the next waterfill checks it, and a refuted
+prediction reruns the plain loop, so the loop, not the scan, decides every
+answer.
 
 A chunk is a (trials, K) array, and the batch kernels keep the memory order
 they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
@@ -190,9 +192,9 @@ def max_performance_allocation(
 def _predict_clipped(u, rise, fall, cap_power, budget: float) -> np.ndarray:
     """Positions of the free sensors that sit at their caps once their spend reaches ``budget``.
 
-    ``capped_mse_batch``'s breakpoint scan on one row: at threshold c sensor k
-    spends clip(rise c - fall, 0, cap); it turns on at u and reaches its cap
-    cap/rise later.  It sits at its cap where the total spend at its cap
+    A one-row copy of ``_segment_masks``'s breakpoint sums: at threshold c
+    sensor k spends clip(rise c - fall, 0, cap); it turns on at u and reaches
+    its cap cap/rise later.  It sits at its cap where the total spend at its cap
     breakpoint is within the budget.  Only a prediction: the clipping loop
     checks it.
     """
@@ -287,15 +289,16 @@ def max_performance_with_caps(
     same additions, in the same order, as a fresh waterfill over the free
     sensors.
 
-    After the first pass that clips, ``capped_mse_batch``'s breakpoint scan
-    on the still-free sensors predicts the rest of the clipped set, and those
-    sensors are clipped in the same pass.  The next pass is the check: it
-    clips violators as before.  If a predicted sensor's uncapped budget at
-    the final threshold falls short of its cap, or a pass after the
-    prediction ends with the budget used up, the solve reruns the loop
-    without prediction.  So a wrong prediction costs time but never changes
-    the answer.  The scan is skipped with fewer than three sensors free, and
-    a prediction that would use the whole budget up is not taken.
+    After the first pass that clips, ``_predict_clipped``, a one-row copy of
+    ``capped_mse_batch``'s breakpoint sums, runs on the still-free sensors
+    and predicts the rest of the clipped set, and those sensors are clipped
+    in the same pass.  The next pass is the check: it clips violators as
+    before.  If a predicted sensor's uncapped budget at the final threshold
+    falls short of its cap, or a pass after the prediction ends with the
+    budget used up, the solve reruns the loop without prediction.  So a
+    wrong prediction costs time but never changes the answer.  The scan is
+    skipped with fewer than three sensors free, and a prediction that would
+    use the whole budget up is not taken.
 
     If the caps together cannot absorb the budget, everything ends up
     clipped and the sum constraint is left slack at sum(caps); so is a
@@ -342,12 +345,13 @@ def min_power_allocation(
 
     order, gamma_u, u = _rank_row(snapshot)
     prefix_gamma = np.add.accumulate(gamma_u)
-    lead = _lead((u[1:] - u[:-1])[None, :], prefix_gamma[None, :])[0]
-    k1 = int(_prefix_cut(1.0 - lead[None, :] / (required * u), "min-power")[0])
-    d = prefix_gamma[k1 - 1] - required
-    if not d > 0:
-        raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
-    excess = required * u[k1 - 1] - lead[k1 - 1]  # d (rho0 - u_last)
+    if not prefix_gamma[-1] > required:  # summed in rank order, the floor's sum can reach R
+        raise InfeasibleTarget(distortion_target, distortion_floor(snapshot))
+    du, prefix_gamma = (u[1:] - u[:-1])[None, :], prefix_gamma[None, :]
+    k1 = max(int(_min_power_cut(u[None, :], du, prefix_gamma, required, True)[0][0]), 1)
+    d = prefix_gamma[0, k1 - 1] - required
+    # d (rho0 - u_last), f at the cut in other roundings: at a tie it can round below 0.
+    excess = max(required * u[k1 - 1] - _lead(du, prefix_gamma)[0, k1 - 1], 0.0)
     alpha = np.zeros(snapshot.k)
     alpha[order] = _prefix_budgets(gamma_u / snapshot.s[order], u, k1, excess, d)
     rho0 = float(u[k1 - 1] + excess / d)
@@ -365,21 +369,24 @@ def min_power_allocation(
 _NEWTON_MAX_STEPS = 1000
 
 
-def _monotone_newton(x: np.ndarray, newton_step, direction: float, label: str) -> np.ndarray:
+def _monotone_newton(x: np.ndarray, newton_step, direction: float, label: str, *arrays):
     """Newton iterates that move every entry of x one way only, in ``direction``.
 
-    ``newton_step(x[live], live)`` returns the next iterates of the live
-    entries.  An entry stops, keeping its last value, once its step no
-    longer moves it in ``direction``.
+    ``newton_step(x[held], *arrays)`` returns the next iterates of the entries
+    held in ``arrays``, one row per entry.  An entry stops, keeping its last
+    value, once its step no longer moves it in ``direction``; the arrays drop
+    stopped entries under ``_shrink``'s rule.
     """
-    live = np.arange(x.size)
+    held = live = np.arange(x.size)  # x's entries that the arrays hold; the live ones among them
     for _ in range(_NEWTON_MAX_STEPS):
-        new = newton_step(x[live], live)
-        moves = (new - x[live]) * direction > 0
+        new = newton_step(x[held], *arrays)[live]
+        at = held[live]
+        moves = (new - x[at]) * direction > 0
+        x[at[moves]] = new[moves]
         live = live[moves]
-        x[live] = new[moves]
         if live.size == 0:
             return x
+        (held, *arrays), live = _shrink((held, *arrays), live)
     raise ConvergenceFailure(f"{label} Newton iteration did not converge")
 
 
@@ -406,14 +413,15 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
         w = lam * half_eta_sq / gamma_u
         return _monotone_newton(  # w^(-1/3) is at or above the root
             1.0 / np.maximum(np.cbrt(w), 1.0),
-            lambda v, live: v - (w[live] * v**3 + v - 1.0) / (3.0 * w[live] * v**2 + 1.0),
+            lambda v, w: v - (w * v**3 + v - 1.0) / (3.0 * w * v**2 + 1.0),
             -1.0,
             "squared-power stationarity",
+            w,
         )
 
     # u = w v^3 at the root, so the fused total sum(gamma u) = lam sum(eta^2 v^3 / 2) and the
     # budgets gamma u / (s v) = lam eta^2 v^2 / (2 s) take no difference of 1 and v.
-    def dual_step(lam: np.ndarray, _) -> np.ndarray:
+    def dual_step(lam: np.ndarray) -> np.ndarray:
         v = cubic_root(float(lam[0]))
         slope = half_eta_sq @ (v**4 / (3.0 - 2.0 * v))  # du/dw = v^4 / (3 - 2v)
         return lam + (required - lam * (half_eta_sq @ v**3)) / slope
@@ -432,9 +440,9 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
 def _layout(x: np.ndarray) -> str:
     """A chunk's memory order: "C" if each row's entries are adjacent, else "F".
 
-    A row-major chunk and a single row read "C".
+    A row-major chunk, a single row and a contiguous vector read "C".
     """
-    return "C" if abs(x.strides[1]) == x.itemsize else "F"
+    return "C" if abs(x.strides[-1]) == x.itemsize else "F"
 
 
 def _cumsum_sensors(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -477,6 +485,15 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x.T.take(rows, axis=1).T if _layout(x) == "F" else x.take(rows, axis=0)
 
 
+def _shrink(arrays, live: np.ndarray):
+    """Per-row ``arrays`` gathered down to their ``live`` rows, and ``live`` renumbered to match,
+    once those are at most 3/4 of the rows held: a gather after every shrink cost more than it
+    saved on slowly falling outage curves."""
+    if 4 * live.size > 3 * arrays[0].shape[0]:
+        return arrays, live
+    return [_take_rows(x, live) for x in arrays], np.arange(live.size)
+
+
 def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     """Each row ranked by descending merit, in the chunk's memory order.
 
@@ -494,24 +511,28 @@ def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     return g, u, ~dead
 
 
-def _prefix_cut(margin: np.ndarray, label: str) -> np.ndarray:
-    """Per-row cutoff of the min-power threshold scan: its leading run of positive margins.
+def _min_power_cut(u, du, prefix_gamma, required, usable):
+    """(k1, f): the k1 usable sensors per ranked row where f_m = R u_m - L_m > 0, and f.
 
-    A positive margin after the run is a near-tie rounded the wrong way when
-    <= 1e-12 and breaks the unique-cutoff property above.
+    f_1 = R u_1 and f_{m+1} = f_m + (R - G_m) du_m.  A rounded R - G_m keeps its
+    sign and du >= 0, so as G grows f rises, then falls: the cut is a prefix.
+    A step past it fell, so d = G_k1 - R > 0; with every usable sensor on, d > 0
+    is the row's feasibility.  k1 >= 1 unless R u_1 underflows.
     """
-    positive = margin > 0
-    k1 = np.add.reduce(positive, axis=1)
-    broken = positive[:, 1:] > positive[:, :-1]  # a positive margin after a non-positive one
-    if broken.any():
-        rows = np.flatnonzero(broken.any(axis=1))
-        k1[rows] = np.argmin(positive[rows], axis=1)
-        after = np.arange(margin.shape[1]) >= k1[rows, None]
-        if (np.where(after, margin[rows], 0.0) > 1e-12).any():
-            raise InternalConsistencyError(
-                f"{label} threshold scan is not a prefix; the unique-cutoff property failed"
-            )
-    return k1
+    f = np.empty_like(u)
+    f[:, 0] = required * u[:, 0]
+    steps = np.subtract(required, prefix_gamma[:, :-1], out=f[:, 1:])
+    steps *= du
+    _cumsum_sensors(f, out=f)
+    return np.add.reduce((f > 0) & usable, axis=1), f
+
+
+def _at_cut(k1, *arrays):
+    """Each (rows, K) array's entry at (row, k1 - 1), column 0 where k1 is 0: one flat gather
+    into arrays that share the first one's memory order."""
+    layout, rows, cut = _layout(arrays[0]), np.arange(k1.size), np.maximum(k1 - 1, 0)
+    at = cut * k1.size + rows if layout == "F" else rows * arrays[0].shape[1] + cut
+    return [x.ravel(layout).take(at) for x in arrays]
 
 
 def _lead(du, prefix):
@@ -520,8 +541,8 @@ def _lead(du, prefix):
     With prefix = cumsum(weights), lead_m = sum_{j<m} weights_j (u_m - u_j):
     a sum of non-negative steps, in which no gamma cancels against itself
     (1 - d/(sqrt(eta)*c) loses every digit next to a gamma above ~1e16).
-    Weights gamma give the min-power scan's L, weights gamma u the turn-on
-    budgets T.
+    Weights gamma give L (the min-power row solver's excess is R u - L),
+    weights gamma u the turn-on budgets T.
     """
     lead = np.empty((du.shape[0], du.shape[1] + 1), order=_layout(prefix))
     lead[:, 0] = 0.0  # not np.zeros: calloc maps fresh pages, which fault in on first write
@@ -561,10 +582,7 @@ def _waterfill_mse(turn_on, w, prefix_gamma, q, total_power, sigma_theta_sq):
     usable sensor get mse = +inf and k1 = 0.
     """
     k1 = np.add.reduce(turn_on < total_power, axis=1)
-    layout, rows, cut = _layout(w), np.arange(w.shape[0]), np.maximum(k1 - 1, 0)
-    # The flat index of (row, k1-1) in the chunk's own memory order.
-    at_cut = cut * w.shape[0] + rows if layout == "F" else rows * w.shape[1] + cut
-    w_cut, g_cut, q_cut = (x.ravel(layout).take(at_cut) for x in (w, prefix_gamma, q))
+    w_cut, g_cut, q_cut = _at_cut(k1, w, prefix_gamma, q)
     den = g_cut * total_power + q_cut
     mse = sigma_theta_sq * (total_power + w_cut) / np.where(k1 > 0, den, 1.0)
     return np.where(k1 > 0, mse, np.inf), k1
@@ -623,36 +641,24 @@ def _equal_budget(s, inv_gamma, denom, rows, required) -> np.ndarray:
 
     Every row must lie above its floor.  The fused SNR total f(P) is
     increasing and concave with f(0) = 0, so Newton steps from P = 0 stay
-    below the root and rise to it.  Rows are solved independently, so a
-    step runs on every held row, a stopped one at its last budget, and
-    returns the live rows' share.  The arrays are gathered down to the live
-    rows only once those are at most 3/4 of the rows held, the rule of
-    ``analysis._outage_counts``, and a step works in two (rows, K)
-    temporaries.  A gather at every step, with a new temporary for each
-    operation, cost one K=100 min-power chunk (3 targets) 6.6 s and 2.0M
-    minor page faults against 3.3 s and 0.54M (fresh processes, 2-core Xeon).
+    below the root and rise to it.  A step works in two (rows, K) temporaries
+    on the rows ``_monotone_newton`` holds.  A gather at every step, with a
+    new temporary for each operation, cost one K=100 min-power chunk (3
+    targets) 6.6 s and 2.0M minor page faults against 3.3 s and 0.54M (fresh
+    processes, 2-core Xeon).
     """
-    held = [_take_rows(x, rows) for x in (s, inv_gamma, denom)]
-    held.append(held[0] * held[2])  # s * denom, the numerator of the slope's terms
-    held_at = np.arange(rows.size)  # the held rows, as positions in ``rows``
-    budget = np.zeros(rows.size)  # the iterates, which _monotone_newton updates in place
 
-    def newton_step(_, live: np.ndarray) -> np.ndarray:
-        nonlocal held, held_at
-        if 4 * live.size <= 3 * held_at.size:
-            held = [_take_rows(x, np.searchsorted(held_at, live)) for x in held]
-            held_at = live
-        s_h, inv_gamma_h, denom_h, s_denom = held
-        budget_h = budget[held_at]
-        ps = budget_h[:, None] * s_h
-        q = inv_gamma_h * ps
-        q += denom_h  # the fused SNR total is sum(ps / q), as in _equal_mse
+    def newton_step(budget, s, inv_gamma, denom, s_denom):
+        ps = budget[:, None] * s
+        q = inv_gamma * ps
+        q += denom  # the fused SNR total is sum(ps / q), as in _equal_mse
         total = np.sum(np.divide(ps, q, out=ps), axis=1)
         slope = np.sum(np.divide(s_denom, np.square(q, out=q), out=q), axis=1)
-        new = budget_h + (required - total) / slope
-        return new if live.size == held_at.size else new[np.searchsorted(held_at, live)]
+        return budget + (required - total) / slope
 
-    return _monotone_newton(budget, newton_step, 1.0, "equal-power budget")
+    held = [_take_rows(x, rows) for x in (s, inv_gamma, denom)]  # then s * denom, the slope's
+    return _monotone_newton(np.zeros(rows.size), newton_step, 1.0, "equal-power budget",
+                            *held, held[0] * held[2])
 
 
 def min_power_total_batch(
@@ -667,40 +673,28 @@ def min_power_total_batch(
 
 
 def _min_power_rows(gamma, s):
-    """Target-independent arrays of the min-power kernel, each row ranked by merit once.
-
-    Returns ``_rank_batch``'s g = gamma, u and usable mask, diff(u), L and
-    cumsum(g) (``_lead``), and each row's sensor-ordered total of live gamma
-    (gamma where s > 0).
-    """
+    """Target-independent arrays of the min-power kernel, each row ranked by merit once:
+    ``_rank_batch``'s u and usable mask, diff(u), G = cumsum(gamma), a = cumsum(gamma u), the
+    turn-on budgets T = ``_lead`` of a, and each row's sensor-ordered total of live gamma."""
     g, u, usable = _rank_batch(gamma, s)
     du = u[:, 1:] - u[:, :-1]
-    prefix_gamma = _cumsum_sensors(g)
-    lead = _lead(du, prefix_gamma)
-    return g, u, usable, du, lead, prefix_gamma, np.where(s > 0, gamma, 0.0).sum(axis=1)
+    a = _cumsum_sensors(g * u)
+    return (u, usable, du, _cumsum_sensors(g, out=g), a, _lead(du, a),
+            np.where(s > 0, gamma, 0.0).sum(axis=1))
 
 
-def _min_power_total(g, u, usable, du, lead, prefix_gamma, live_total, required):
-    """``min_power_total_batch`` from its ``_min_power_rows`` arrays at fused SNR ``required``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = 1.0 - lead / (required * u)
-    # The divisor below needs the merit-ordered total above the requirement, and the equal-split
-    # budget of the same row needs the sensor-ordered sum there; within rounding of the floor
-    # they can disagree, so a row is feasible only when both are.
+def _min_power_total(u, usable, du, prefix_gamma, a, turn_on, live_total, required):
+    """``min_power_total_batch`` from its ``_min_power_rows`` arrays at fused SNR ``required``.
+
+    The k1 sensors on spend T + a (c - u_k1) at the cut, and c - u_k1 = f/(G - R).  A row is
+    feasible only where both its merit-ordered total (the divisor's) and its sensor-ordered total
+    (the equal-split budget's) exceed R: within rounding of the floor they can disagree.
+    """
     feasible = (prefix_gamma[:, -1] > required) & (live_total > required)
-    k1 = _prefix_cut(np.where(usable & feasible[:, None], margin, -1.0), "min-power")
-    d = prefix_gamma[np.arange(g.shape[0]), np.maximum(k1 - 1, 0)] - required
-    if (feasible & ~(d > 0)).any():
-        raise InternalConsistencyError("min-power cutoff landed on a non-positive divisor")
-    # P_k = gamma_k u_k (required u_k - L_k + R_k) / d on the active prefix, R_k = sum_{k<j<=k1}
-    # gamma_j (u_j - u_k) summed like L; rho0*c - w loses every digit next to a huge gamma.
-    g = g.copy(order="K")
-    g[np.arange(g.shape[1]) >= k1[:, None]] = 0.0
-    steps = _cumsum_sensors(g[:, :0:-1])[:, ::-1] * du  # (gamma over active j > i)(u_{i+1} - u_i)
-    trail = np.zeros(g.shape, order=_layout(g))
-    _cumsum_sensors(steps[:, ::-1], out=trail[:, :-1][:, ::-1])
-    total = np.sum(g * u * (required * u - lead + trail), axis=1)
-    total = np.where(feasible, total / np.where(feasible, d, 1.0), np.inf)
+    k1, f = _min_power_cut(u, du, prefix_gamma, required, usable)
+    f, g_cut, a, turn_on = _at_cut(k1, f, prefix_gamma, a, turn_on)
+    d = np.where(feasible, g_cut - required, 1.0)
+    total = np.where(feasible, turn_on + a * (f / d), np.inf)
     return total, np.where(feasible, k1, 0), feasible
 
 
@@ -757,9 +751,11 @@ def capped_mse_batch(
     budget by more than rounding: the scan's spend, slope * end - offset,
     still cancels, and a budget it loses lands on a later segment.
     cap_power may be +inf.  max_performance_with_caps, which clips
-    iteratively, is its test reference: it runs the scan on one row only to
-    predict its clipped set, which its own waterfill passes check.
+    iteratively, is its test reference: it predicts its clipped set with a
+    one-row copy of the breakpoint sums, which its own passes check.
     """
+    if cap_power >= total_power:  # no sensor can spend more than the budget, so the cap never binds
+        cap_power = math.inf
     eta = s / (1.0 + 1.0 / gamma)
     sqrt_eta = np.sqrt(eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dead sensor's breakpoints sit at +inf

@@ -49,7 +49,7 @@ from .allocation import (
     _equal_rows,
     _min_power_rows,
     _min_power_total,
-    _take_rows,
+    _shrink,
     _waterfill_mse,
     _waterfill_prefix,
     capped_mse_batch,
@@ -232,8 +232,7 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     one budget stays out at every larger one.  The distinct budgets run in
     ascending order, each counting only the rows still in outage at the
     budget below it, until no row is left.  The arrays are gathered down to
-    those rows once they are at most 3/4 of the rows held: a gather after
-    every shrink cost more than it saved on slowly falling curves.
+    those rows under ``_shrink``'s rule.
 
     An optimal curve first screens the rows with the equal split at the
     lowest budget.  The optimal allocation's distortion is at most the
@@ -249,17 +248,14 @@ def _outage_counts(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
         live = np.flatnonzero(equal > curve.d0 * (1.0 - _SCREEN_MARGIN))
         if live.size == 0:
             return [(0,)] * len(curve.points)
-        if 4 * live.size <= 3 * s.shape[0]:
-            s, gamma, live = _take_rows(s, live), _take_rows(gamma, live), np.arange(live.size)
+        (s, gamma), live = _shrink((s, gamma), live)
     rows, mse = _policy_rows(curve.policy, s, gamma, sigma_sq)
     for budget in budgets:
         live = live[mse(budget, *rows)[live] > curve.d0]
         counts[budget] = live.size
         if live.size == 0:
             break
-        if 4 * live.size <= 3 * rows[0].shape[0]:
-            rows = [_take_rows(x, live) for x in rows]
-            live = np.arange(live.size)
+        rows, live = _shrink(rows, live)
     return [(counts[p],) for p in curve.points]
 
 

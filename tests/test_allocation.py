@@ -9,7 +9,8 @@ from fadefusion import allocation
 from fadefusion.allocation import (
     _cumsum_sensors,
     _equal_budget_batch,
-    _prefix_cut,
+    _min_power_cut,
+    _min_power_rows,
     capped_mse_batch,
     equal_power_mse_batch,
     min_power_total_batch,
@@ -796,6 +797,14 @@ class TestBatchKernels:
                     capped_mse_batch(gamma, s, 1.0, p_tot, math.inf)):
             assert mse == pytest.approx(exact, rel=1e-15)
 
+    def test_a_cap_of_at_least_the_budget_never_binds(self):
+        # At K=1 a cap of 1.5 P: its breakpoint u + cap/(gamma u) rounds onto u, and the scan
+        # read the row as an outage.  No sensor can spend more than the budget.
+        gamma, s = np.ones((1, 1)), np.ones((1, 1))
+        mse = capped_mse_batch(gamma, s, 1.0, 1e-16, 1.5e-16)
+        assert _bits(mse) == _bits(sum_power_mse_batch(gamma, s, 1.0, 1e-16)[0])
+        assert mse[0] == pytest.approx(1.0 + 2e16, rel=1e-15)
+
     def test_one_sensor_gets_the_exact_distortion_over_a_wide_grid(self):
         # At K=1 the optimal distortion is sigma^2 (1/gamma + 1/(P eta)), here in rational
         # arithmetic on the kernels' own eta.
@@ -905,12 +914,76 @@ class TestColumnMajorChunks:
 
 
 class TestPrefixCut:
-    def test_rounding_stray_is_accepted_and_a_real_one_raises(self):
-        margin = np.array([[0.3, 0.1, -0.2, 2.2e-16, -0.5], [0.4, -0.1, -0.2, -0.3, -0.5]])
-        np.testing.assert_array_equal(_prefix_cut(margin, "test"), [2, 1])
-        margin[0, 3] = 1e-3
-        with pytest.raises(ff.InternalConsistencyError, match="test threshold scan"):
-            _prefix_cut(margin, "test")
+    @pytest.mark.parametrize("k", [2, 6, 20])
+    def test_the_cut_is_a_prefix_with_a_positive_divisor(self, k):
+        # Every sensor twice (tied u), gamma over 1e-2..1e18, one channel in ten dead, and
+        # requirements up to 1 - 1e-12 of the rank-order total: the running sum f changes sign
+        # once, so the sensors on are a prefix, and past the cut d = G_k1 - R is positive.
+        rng = np.random.default_rng(k)
+        gamma, s = (np.tile(10 ** rng.uniform(lo, hi, (60, k // 2)), 2)
+                    for lo, hi in ((-2, 18), (-3, 8)))
+        s[rng.random(s.shape) < 0.1] = 0.0
+        u, usable, du, prefix_gamma = _min_power_rows(gamma, s)[:4]
+        feasible = 0
+        for i in range(gamma.shape[0]):
+            row = [x[i : i + 1] for x in (u, du, prefix_gamma)]
+            for share in 1.0 - np.geomspace(1e-12, 1.0 - 1e-12, 9):
+                required = share * prefix_gamma[i, -1]
+                k1, f = _min_power_cut(*row, required, usable[i : i + 1])
+                on = (f[0] > 0) & usable[i]
+                assert not (on[1:] > on[:-1]).any() and k1[0] == on.sum()
+                if prefix_gamma[i, -1] > required:
+                    feasible += 1
+                    assert k1[0] >= 1 and prefix_gamma[i, k1[0] - 1] - required > 0
+        assert feasible > 400
+
+    def test_min_power_with_the_threshold_on_a_sensors_turn_on(self):
+        # R = L_m/u_m puts sensor m's turn-on on the threshold, where the cut's running sum f
+        # and the row solver's excess R u - L, summed in other roundings, can differ in sign.
+        rng = np.random.default_rng(7)
+        worst, solves = 0.0, 0
+        for k in (3, 8, 20):
+            for _ in range(40):
+                g, sv = 10 ** rng.uniform(-2, 12, k), 10 ** rng.uniform(-3, 6, k)
+                g[: k // 2], sv[: k // 2] = g[k - k // 2 :], sv[k - k // 2 :]  # tied merits
+                snapshot = snap(g, sv)
+                _, gamma_u, u = allocation._rank_row(snapshot)
+                for m in range(1, u.size):
+                    lead = float(np.sum(gamma_u[:m] * (u[m] - u[:m])))
+                    for step in (-1, 0, 1) if lead > 0 else ():
+                        required = lead / u[m] * (1.0 + step * 2.2e-16)
+                        alpha, _ = ff.min_power_allocation(snapshot, 1.0 / required)
+                        worst = max(worst, abs(ff.blue_mse(snapshot, alpha) * required - 1.0))
+                        solves += 1
+        assert solves > 2000 and worst < 1e-13
+
+    def test_min_power_with_an_underflowing_first_step(self):
+        # R u_1 = 1e-310 * 1.4e-100 rounds to 0, so f_1 is 0 and no sensor passes the cut; the
+        # first sensor is on all the same, with a budget (about 1e-510 W) that rounds to 0.
+        snapshot = snap([1.0, 1.0], [1e200, 1e199], sig=1e-300)
+        alpha, diagnostics = ff.min_power_allocation(snapshot, 1e10)
+        assert not alpha.alpha_prime.any()
+        assert diagnostics.threshold_constant == 1.0 / math.sqrt(snapshot.eta[0])
+
+    def test_min_power_at_the_floor_succeeds_or_is_infeasible(self):
+        # d0 within one ulp of 1/sum(live gamma), summed in sensor order, where the rank-order
+        # sum can land on the other side of the requirement; that too is an infeasible target.
+        rng = np.random.default_rng(0)
+        gamma = 10 ** rng.uniform(-1.5, 3.75, (300, 8))
+        s = np.where(rng.random((300, 8)) < 0.5, 0.0, 10 ** rng.uniform(-1.0, 1.0, (300, 8)))
+        s[:, 0] = 1.0
+        solved = 0
+        for g, sv in zip(gamma, s):
+            snapshot = snap(g, sv)
+            floor = ff.distortion_floor(snapshot)
+            for d0 in (floor, np.nextafter(floor, 1.0), np.nextafter(floor, 1.0) * (1 + 2e-16)):
+                try:
+                    alpha, diagnostics = ff.min_power_allocation(snapshot, float(d0))
+                except ff.InfeasibleTarget:
+                    continue
+                assert diagnostics.active_count >= 1 and alpha.alpha_prime.max() > 0
+                solved += 1
+        assert solved > 300
 
     def test_min_power_next_to_a_huge_gamma(self):
         # The middle sensor (gamma 1e20) is needed to meet the target: its

@@ -398,6 +398,17 @@ class TestAlloc:
         assert main(["alloc", path, "--target", "1"]) == 3
         assert "feasibility_floor=inf" in capsys.readouterr().err
 
+    def test_min_power_with_a_subnormal_requirement(self, tmp_path, capsys):
+        # sigma^2/target = 1e-310: the old cut divided L by required * u, which overflowed.
+        path = write(tmp_path, "s.txt", "sigma_theta_sq = 1e-300\n88.5 1.0\n24298.6 1000.0\n")
+        assert main(["alloc", path, "--target=1e10", "--machine"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "active=0" in out[-2] and "active=1" in out[-1]
+        mse = float(next(line for line in out if line.startswith("mse=")).split("=")[1])
+        # The solve runs on subnormals (required 1e-310, alpha' 1e-313), whose relative
+        # precision falls with their size: mse reads 1.0000000069e10.
+        assert mse == pytest.approx(1e10, rel=1e-8)
+
     def test_l2_variant(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", SNAPSHOT_HET)
         assert main(["alloc", path, "--target", "0.05", "--l2"]) == 0

@@ -11,6 +11,10 @@ by about 4e-9 relative (3.22906598832 -> 3.229065976, 0.331906597763 ->
 0.3319065976, 0.0421906597615 -> 0.04219065976), because the old form
 ``sum(gamma) - a/c`` lost about log10((1 + gamma)/(P*s)) digits.  Every
 other cell kept its bytes.
+
+``min-power-k3.csv`` was written later, by the same command, to pin the
+column-major path of the min-power kernel: below 8 sensors a chunk is
+column-major.
 """
 
 import csv
@@ -36,6 +40,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("outage-compare", 2),
         ("active-fraction", 1),
         ("min-power", 1),
+        ("min-power-k3", 1),
     ],
 )
 def test_csv_is_byte_identical_to_golden(tmp_path, scenario, workers):

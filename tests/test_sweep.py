@@ -166,6 +166,19 @@ class TestOutageCountsAgainstKernels:
         want = kernel_outage_counts(curve.policy, 3, s, gamma, curve.d0, curve.points)
         assert analysis._outage_counts(curve, s, gamma, 1.0) == [(count,) for count in want]
 
+    def test_a_one_sensor_capped_curve_is_the_optimal_one(self):
+        # At K=1 the cap of 1.5 P never binds.  Down to 1e-16 W the cap's breakpoint rounded
+        # onto the turn-on breakpoint on some rows, which the capped kernel read as outages.
+        rng = np.random.default_rng(9)
+        gamma, s = (10 ** rng.uniform(lo, hi, (2000, 1)) for lo, hi in ((-2, 18), (-3, 8)))
+        budgets = tuple(np.geomspace(1e-16, 1e2, 10))
+        for d0 in (1e2, 1e8, 1e14):
+            capped, optimal = (analysis._outage_counts(Curve("outage", 1, budgets, policy, d0),
+                                                       s, gamma, 1.0)
+                               for policy in (ff.CappedPolicy(1.5), ff.OptimalPolicy()))
+            assert capped == optimal
+            assert 0 < optimal[0][0] and optimal[-1][0] < 2000
+
 
 #: Channel SNRs over 1e-3..1e8, one in ten dead.
 channel_snrs = st.tuples(log_uniform(-3, 8), st.integers(0, 9)).map(lambda x: x[0] if x[1] else 0.0)
