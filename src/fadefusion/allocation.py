@@ -30,11 +30,12 @@ once, in ``_rank_row``; the capped clipping loop then drops clipped sensors
 from the ranked arrays instead of re-sorting the rest.  Its free sensors
 share the budget minus the caps of every clipped sensor, summed once, so its
 answer depends only on the final clipped set.  After its first clipping pass
-``_predict_clipped``, a one-row copy of ``_segment_masks``'s breakpoint sums
-(43-52 us a row, the copy 18-27 us, at K = 3-100 on a 2-core Xeon), predicts
-the rest of the clipped set; the next waterfill checks it, and a refuted
-prediction reruns the plain loop, so the loop, not the scan, decides every
-answer.
+the breakpoint scan ``_predict_clipped`` predicts the rest of the clipped
+set; the next waterfill checks it, and a refuted prediction reruns the plain
+loop, so the loop, not the scan, decides every answer.  ``capped_mse_batch``
+runs the same checked loop, with the same scan, on whole chunks; each of its
+passes is one sum-power waterfill (``_waterfill_sums``) in which the clipped
+sensors' gamma is 0.
 
 A chunk is a (trials, K) array, and the batch kernels keep the memory order
 they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
@@ -189,26 +190,25 @@ def max_performance_allocation(
     return Allocation(alpha), diagnostics
 
 
-def _predict_clipped(u, rise, fall, cap_power, budget: float) -> np.ndarray:
-    """Positions of the free sensors that sit at their caps once their spend reaches ``budget``.
+def _predict_clipped(u, rise, cap, budget) -> np.ndarray:
+    """Which sensors of each ranked row sit at their cap once the capped spend reaches ``budget``.
 
-    A one-row copy of ``_segment_masks``'s breakpoint sums: at threshold c
-    sensor k spends clip(rise c - fall, 0, cap); it turns on at u and reaches
-    its cap cap/rise later.  It sits at its cap where the total spend at its cap
-    breakpoint is within the budget.  Only a prediction: the clipping loop
-    checks it.
+    At threshold c sensor k spends clip(rise (c - u), 0, cap): it turns on at u and
+    reaches its cap cap/rise later (+inf where rise is 0).  One sort of the 2K
+    breakpoints and a running sum of the slope give the spend at each breakpoint, as
+    ``_lead`` of the slope over the gaps; the sensors whose cap breakpoint is at or below
+    the last breakpoint whose spend is within the budget are predicted.  Only a
+    prediction: the slope's running sum cancels, so the clipping loop checks it.
     """
-    k = rise.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        breaks = np.concatenate((u, u + cap_power / rise))
-        order = np.argsort(breaks, kind="stable")
-        steps = np.zeros((3, 2 * k))  # each breakpoint's step in B's slope, offset and capped power
-        steps[0, :k], steps[1, :k], steps[2, k:] = rise, fall, cap_power
-        np.negative(steps[:2, :k], out=steps[:2, k:])
-        slope, offset, capped = np.add.accumulate(steps[:, order], axis=1)
-        breaks = breaks[order]
-        spend = slope * breaks - offset + capped  # B at each breakpoint
-        return order[(order >= k) & np.isfinite(breaks) & (spend <= budget)] - k
+        at_cap = u + cap / rise
+        breaks = np.concatenate((u, at_cap), axis=1)
+        permute = _row_sorter(breaks)[1]
+        slope = _cumsum_sensors(permute(np.concatenate((rise, -rise), axis=1)))
+        breaks = permute(breaks)
+        spend = _lead(breaks[:, 1:] - breaks[:, :-1], slope)
+        within = (spend <= budget) & np.isfinite(breaks)
+    return at_cap <= np.where(within, breaks, -np.inf).max(axis=1, keepdims=True)
 
 
 def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict: bool):
@@ -259,7 +259,7 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
         if predict and budget > budget_dust and np.count_nonzero(keep) > 2:
             free = np.flatnonzero(keep)
             rise, u = ranked[:2, free]
-            at_cap = free[_predict_clipped(u, rise, rise * u, caps[order[free]], budget)]
+            at_cap = free[_predict_clipped(u[None], rise[None], caps[order[free]], budget).ravel()]
             guess = clipped.copy()
             guess[order[at_cap]] = True
             left = budget_left(guess)
@@ -289,22 +289,21 @@ def max_performance_with_caps(
     same additions, in the same order, as a fresh waterfill over the free
     sensors.
 
-    After the first pass that clips, ``_predict_clipped``, a one-row copy of
-    ``capped_mse_batch``'s breakpoint sums, runs on the still-free sensors
-    and predicts the rest of the clipped set, and those sensors are clipped
-    in the same pass.  The next pass is the check: it clips violators as
-    before.  If a predicted sensor's uncapped budget at the final threshold
-    falls short of its cap, or a pass after the prediction ends with the
-    budget used up, the solve reruns the loop without prediction.  So a
-    wrong prediction costs time but never changes the answer.  The scan is
-    skipped with fewer than three sensors free, and a prediction that would
-    use the whole budget up is not taken.
+    After the first pass that clips, the breakpoint scan ``_predict_clipped``
+    runs on the still-free sensors and predicts the rest of the clipped set,
+    and those sensors are clipped in the same pass.  The next pass is the
+    check: it clips violators as before.  If a predicted sensor's uncapped
+    budget at the final threshold falls short of its cap, or a pass after
+    the prediction ends with the budget used up, the solve reruns the loop
+    without prediction.  So a wrong prediction costs time but never changes
+    the answer.  The scan is skipped with fewer than three sensors free, and
+    a prediction that would use the whole budget up is not taken.
 
     If the caps together cannot absorb the budget, everything ends up
     clipped and the sum constraint is left slack at sum(caps); so is a
     remainder of at most 1e-14 of the budget, which clipping can leave as
-    rounding residue.  ``capped_mse_batch`` solves the same problem by one
-    breakpoint scan and is tested against this loop.
+    rounding residue.  ``capped_mse_batch`` runs the same checked loop on
+    whole chunks and is tested against this one.
     """
     _check_budget(snapshot, total_power)
     limits = caps.alpha_limits(snapshot)
@@ -467,13 +466,14 @@ def _cumsum_sensors(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
 def _row_sorter(keys: np.ndarray):
     """Stable argsort of each row of ``keys``, and a function permuting any chunk's rows by it.
 
-    Returns (order, permute); both keep the memory order of ``keys``.  A
-    column-major chunk is gathered through its flat column-major index,
-    which keeps the result column-major; take_along_axis would not.
+    Returns (order, permute); both keep the memory order of ``keys``.  A chunk is gathered
+    through its flat index in that order: a column-major one stays column-major (take_along_axis
+    would not), and one row, as in a row solve's scan, costs 2 us where take_along_axis costs 4.
     """
     if _layout(keys) == "C":
         order = np.argsort(keys, axis=1, kind="stable")
-        return order, lambda x: np.take_along_axis(x, order, axis=1)
+        at = order + np.arange(0, order.size, order.shape[1])[:, None]
+        return order, lambda x: x.ravel()[at]
     order = np.argsort(keys.T, axis=0, kind="stable").T  # sorted as rows, stored column-major
     at = order * keys.shape[0]
     at += np.arange(keys.shape[0])[:, None]
@@ -495,20 +495,21 @@ def _shrink(arrays, live: np.ndarray):
 
 
 def _rank_batch(gamma: np.ndarray, s: np.ndarray):
-    """Each row ranked by descending merit, in the chunk's memory order.
-
-    Returns gamma and u = 1/sqrt(eta) on usable sensors (0 elsewhere), and the
-    usable mask (eta > 0); along a row u does not decrease until the unusable tail.
-    """
+    """Each row's gamma and merit eta, ranked by descending merit, in the chunk's memory order."""
     eta = s / (1.0 + 1.0 / gamma)
     permute = _row_sorter(-eta)[1]
-    u, g = permute(eta), permute(gamma)
-    dead = u == 0
+    return permute(gamma), permute(eta)
+
+
+def _ranked_u(g, eta):
+    """Ranked g, u = 1/sqrt(eta) in the place of eta and the usable mask (eta > 0); g and u are 0
+    on unusable sensors, and along a row u does not decrease until the unusable tail."""
+    dead = eta == 0
     with np.errstate(divide="ignore"):
-        np.divide(1.0, np.sqrt(u, out=u), out=u)
-    u[dead] = 0.0
+        np.divide(1.0, np.sqrt(eta, out=eta), out=eta)
+    eta[dead] = 0.0
     g[dead] = 0.0
-    return g, u, ~dead
+    return g, eta, ~dead
 
 
 def _min_power_cut(u, du, prefix_gamma, required, usable):
@@ -535,16 +536,16 @@ def _at_cut(k1, *arrays):
     return [x.ravel(layout).take(at) for x in arrays]
 
 
-def _lead(du, prefix):
+def _lead(du, prefix, out=None):
     """Running sums lead_m = sum_{j<m} prefix_j du_j along ranked rows, ``du`` = diff(u).
 
     With prefix = cumsum(weights), lead_m = sum_{j<m} weights_j (u_m - u_j):
     a sum of non-negative steps, in which no gamma cancels against itself
     (1 - d/(sqrt(eta)*c) loses every digit next to a gamma above ~1e16).
     Weights gamma give L (the min-power row solver's excess is R u - L),
-    weights gamma u the turn-on budgets T.
+    weights gamma u the turn-on budgets T.  ``prefix`` may be ``out[:, 1:]``.
     """
-    lead = np.empty((du.shape[0], du.shape[1] + 1), order=_layout(prefix))
+    lead = np.empty((du.shape[0], du.shape[1] + 1), order=_layout(prefix)) if out is None else out
     lead[:, 0] = 0.0  # not np.zeros: calloc maps fresh pages, which fault in on first write
     steps = np.multiply(prefix[:, : du.shape[1]], du, out=lead[:, 1:])
     _cumsum_sensors(steps, out=steps)
@@ -552,26 +553,33 @@ def _lead(du, prefix):
 
 
 def _waterfill_prefix(gamma, s):
-    """Budget-independent sums of the sum-power scan over each row's ranked sensors.
+    """Budget-independent sums of the sum-power scan: ``_waterfill_sums`` but a, run down the
+    columns of column-major copies of the ranked rows (the bits of numpy's accumulate along a
+    row, at about 4 ns a value)."""
+    g, u, usable = (np.asfortranarray(x) for x in _ranked_u(*_rank_batch(gamma, s)))
+    return _waterfill_sums(g, u, usable)[:4]
+
+
+def _waterfill_sums(g, u, usable):
+    """The sum-power scan's sums along ranked rows, in the place of g and u.
 
     Returns the turn-on budgets T (+inf on unusable sensors), w = cumsum(gamma
-    u^2), G = cumsum(gamma) and Q_m = sum_{j<k<=m} gamma_j gamma_k (u_k - u_j)^2,
-    which is G w - a^2 (Lagrange's identity, a = cumsum(gamma u)) without the
+    u^2), G = cumsum(gamma), Q_m = sum_{j<k<=m} gamma_j gamma_k (u_k - u_j)^2
+    and a = cumsum(gamma u).  Q is G w - a^2 (Lagrange's identity) without the
     cancellation: Q = cumsum(gamma S2), S2_m = sum_{j<m} gamma_j (u_m - u_j)^2
-    = ``_lead`` of L_m + L_{m+1}.  The sums run down the columns of
-    column-major copies, the same bits as numpy's accumulate along a row,
-    which costs about 4 ns a value.
+    = ``_lead`` of L_m + L_{m+1}.  A sensor with gamma 0 drops out of every sum.
     """
-    g, u, usable = (np.asfortranarray(x) for x in _rank_batch(gamma, s))
     du = u[:, 1:] - u[:, :-1]
     prefix_gamma = _cumsum_sensors(g)
     lead = _lead(du, prefix_gamma)
     rise = g * u
     w = _cumsum_sensors(np.multiply(rise, u, out=u), out=u)
-    turn_on = _lead(du, _cumsum_sensors(rise, out=rise))
+    a = _cumsum_sensors(rise, out=rise)
+    turn_on = _lead(du, a)
     turn_on[~usable] = np.inf
-    square = _lead(du, np.add(lead[:, :-1], lead[:, 1:], out=rise[:, 1:]))
-    return turn_on, w, prefix_gamma, _cumsum_sensors(np.multiply(g, square, out=g), out=g)
+    square = np.empty_like(lead)
+    square = _lead(du, np.add(lead[:, :-1], lead[:, 1:], out=square[:, 1:]), out=square)
+    return turn_on, w, prefix_gamma, _cumsum_sensors(np.multiply(g, square, out=g), out=g), a
 
 
 def _waterfill_mse(turn_on, w, prefix_gamma, q, total_power, sigma_theta_sq):
@@ -676,7 +684,7 @@ def _min_power_rows(gamma, s):
     """Target-independent arrays of the min-power kernel, each row ranked by merit once:
     ``_rank_batch``'s u and usable mask, diff(u), G = cumsum(gamma), a = cumsum(gamma u), the
     turn-on budgets T = ``_lead`` of a, and each row's sensor-ordered total of live gamma."""
-    g, u, usable = _rank_batch(gamma, s)
+    g, u, usable = _ranked_u(*_rank_batch(gamma, s))
     du = u[:, 1:] - u[:, :-1]
     a = _cumsum_sensors(g * u)
     return (u, usable, du, _cumsum_sensors(g, out=g), a, _lead(du, a),
@@ -693,98 +701,96 @@ def _min_power_total(u, usable, du, prefix_gamma, a, turn_on, live_total, requir
     feasible = (prefix_gamma[:, -1] > required) & (live_total > required)
     k1, f = _min_power_cut(u, du, prefix_gamma, required, usable)
     f, g_cut, a, turn_on = _at_cut(k1, f, prefix_gamma, a, turn_on)
-    d = np.where(feasible, g_cut - required, 1.0)
+    d = np.where(feasible, g_cut - required, np.inf)
     total = np.where(feasible, turn_on + a * (f / d), np.inf)
     return total, np.where(feasible, k1, 0), feasible
-
-
-def _segment_masks(on, at_cap, rise, fall, cap_power, total_power):
-    """Which sensors are on and which at their cap on the segment where B(c) reaches total_power.
-
-    Sensor k turns on at ``on`` = u and reaches its cap at ``at_cap`` (+inf
-    for a dead sensor or an unbounded cap); an on, uncapped sensor spends
-    rise * c - fall.  One sort of the 2K breakpoints and running sums give
-    B(c) = slope * c - offset + capped after each breakpoint.  The capped
-    power of the finite cap breakpoints keeps its own sum: added to the
-    offset it would round to the ulp of gamma/eta.  A breakpoint counts as
-    passed where the scan sorted it at or before the segment's start, so the
-    masks agree with the scan's own sums even where two breakpoints tie.
-    """
-    k = on.shape[1]
-    breaks = np.concatenate([on, at_cap], axis=1)
-    order, permute = _row_sorter(breaks)
-    breaks = permute(breaks)
-    sums = [permute(np.concatenate([step, -step], axis=1)) for step in (rise, fall)]
-    sums.append(np.where((order >= k) & np.isfinite(breaks), cap_power, 0.0))
-    for steps in sums:
-        _cumsum_sensors(steps, out=steps)
-    slope, offset, capped = sums
-    ends = breaks[:, 1:]  # the end of the segment after each breakpoint but the last
-    spend = slope[:, :-1] * ends
-    spend -= offset[:, :-1]
-    spend += capped[:, :-1]
-    # At a +inf end the spend is +inf if the open segment rises and NaN or -inf if it is flat;
-    # either way c lands on the open segment after the last finite breakpoint.
-    stop = spend >= total_power
-    last = ends.shape[1]
-    j = np.where(stop.any(axis=1), stop.argmax(axis=1), last)
-    passed = np.empty(order.shape, dtype=bool, order=_layout(on))
-    np.put_along_axis(passed, order, np.arange(2 * k) <= j[:, None], axis=1)
-    return passed[:, :k], passed[:, k:]
 
 
 def capped_mse_batch(
     gamma: np.ndarray, s: np.ndarray, sigma_theta_sq: float, total_power: float, cap_power: float
 ) -> np.ndarray:
-    """Capped-allocation distortion for a (trials, K) batch, one transmit cap for all sensors.
+    """Capped-allocation distortion for a (trials, K) batch, one transmit cap (may be +inf) for all
+    sensors; +inf on rows with no usable sensor."""
+    return _capped_mse(*_capped_rows(gamma, s), float(total_power), float(cap_power),
+                       sigma_theta_sq)
 
-    Peak-constrained waterfilling (Palomar & Fonollosa, IEEE Trans. Signal
-    Process. 53(2), 2005): at threshold c sensor k spends
-    clip(gamma_k u_k (c - u_k), 0, cap), u = 1/sqrt(eta).  ``_segment_masks``
-    finds the segment of this piecewise linear spend on which it reaches
-    total_power, and which sensors are on or capped there.  With the anchor
-    the largest u on, a free sensor's c - u_k is delta + (anchor - u_k), where
-    delta = max(P - caps - sum_free gamma u (anchor - u), 0) / sum_free gamma u,
-    and it adds gamma_k (delta + (anchor - u_k))/(delta + anchor) to the fused
-    SNR; a capped one adds x/(x/gamma + 1), x = cap eta.  +inf marks rows
-    with no usable sensor and rows whose segment caps more power than the
-    budget by more than rounding: the scan's spend, slope * end - offset,
-    still cancels, and a budget it loses lands on a later segment.
-    cap_power may be +inf.  max_performance_with_caps, which clips
-    iteratively, is its test reference: it predicts its clipped set with a
-    one-row copy of the breakpoint sums, which its own passes check.
+
+def _capped_rows(gamma, s):
+    """Budget-independent arrays of the capped kernel, column-major: ranked gamma, u and eta,
+    then ``_waterfill_sums`` over every sensor (T, w, G, Q and a)."""
+    g, eta = (np.asfortranarray(x) for x in _rank_batch(gamma, s))
+    g, u, usable = _ranked_u(g, eta.copy(order="F"))
+    return (g, u, eta, *_waterfill_sums(g.copy(order="F"), u.copy(order="F"), usable))
+
+
+def _capped_mse(g, u, eta, turn_on, w, prefix_gamma, q, a, budget, cap, sigma_theta_sq):
+    """``capped_mse_batch`` from its ``_capped_rows`` arrays at one budget and one cap.
+
+    Peak-constrained waterfilling (Palomar & Fonollosa, IEEE Trans. Signal Process.
+    53(2), 2005) by ``max_performance_with_caps``'s clipping loop on whole rows.  The
+    first pass is the uncapped waterfill, read from the rows' sums.  Rows where it takes
+    a sensor to its cap clip it and, with three or more sensors still free, the set
+    ``_predict_clipped`` predicts.  Each next pass is one sum-power waterfill over the
+    free sensors with P minus the caps; a row whose caps leave at most 1e-14 P waterfills
+    a budget of 0.  The pass after a prediction checks it: no free sensor may reach its
+    cap, every clipped one must, and the caps may exceed P by at most 1e-14 P.  A
+    refuted row restarts from the first pass's clips, so the loop, not the scan, decides
+    every answer.  A clipped sensor adds x/(x/gamma + 1), x = cap eta, to the fused SNR.
     """
-    if cap_power >= total_power:  # no sensor can spend more than the budget, so the cap never binds
-        cap_power = math.inf
-    eta = s / (1.0 + 1.0 / gamma)
-    sqrt_eta = np.sqrt(eta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a dead sensor's breakpoints sit at +inf
-        u, rise = 1.0 / sqrt_eta, gamma / sqrt_eta
-        on, at_cap = _segment_masks(u, u + cap_power / rise, rise, gamma / eta, cap_power,
-                                    total_power)
-    # Masks multiply rather than select (np.where costs 5x a multiply), so a dead sensor's u is 0.
-    u = np.where(eta > 0, u, 0.0)
-    on &= eta > 0
-    at_cap &= on
-    free = on & ~at_cap
-    anchor = np.max(u * on, axis=1, keepdims=True)
-    lag = (anchor - u) * free
-    rise = gamma * u
-    caps = np.count_nonzero(at_cap, axis=1) * cap_power if math.isfinite(cap_power) else 0.0
-    left = np.maximum(total_power - caps - np.sum(rise * lag, axis=1), 0.0)
-    shared = np.sum(rise * free, axis=1)
-    delta = np.divide(left, shared, out=np.zeros_like(left), where=shared > 0)[:, None]
-    free &= rise * (delta + lag) < cap_power  # a segment found too early can overfill a cap
-    with np.errstate(invalid="ignore"):  # 0/0 in rows with nothing on, which are outages
-        total = np.sum(gamma * (delta + lag) / (delta + anchor) * free, axis=1)
-    if math.isfinite(cap_power):
-        x = cap_power * eta
-        total += np.sum(x / (x / gamma + 1.0) * (on & ~free), axis=1)
-    total[np.isnan(total)] = 0.0
-    # A segment's caps stay below the budget in exact arithmetic, and their sum rounds by less
-    # than K ulps; more is a budget the scan lost, which spends caps the budget does not hold.
-    total[caps > total_power * (1.0 + gamma.shape[1] * np.finfo(float).eps)] = 0.0
-    return _mse_from_total(total, sigma_theta_sq)
+    mse = _waterfill_mse(turn_on, w, prefix_gamma, q, budget, sigma_theta_sq)[0]
+    if cap >= budget:  # no sensor can spend more than the budget, so the cap never binds
+        return mse
+    at_cap = cap * (1.0 - 4.0 * np.finfo(float).eps)  # rounding just short of a cap costs no pass
+    first = _capped_pass(g, u, budget, turn_on, w, prefix_gamma, q, a)[1] >= at_cap
+    hit = np.flatnonzero(first.any(axis=1))
+    if hit.size == 0:
+        return mse
+    g, u, eta, first = (_take_rows(x, hit) for x in (g, u, eta, first))
+    clipped, dust = np.copy(first), budget * 1e-14
+    # The scan costs about one pass, so as in the row solver it runs only with three or more free.
+    free = (u > 0) & ~first
+    checked = np.add.reduce(free, axis=1) > 2
+    scan = np.flatnonzero(checked)
+    left = budget - np.add.reduce(first, axis=1)[scan, None] * cap
+    clipped[scan] |= _predict_clipped(*(_take_rows(x, scan) for x in (u, g * u * free)), cap, left)
+    free_total, live = np.empty(hit.size), np.arange(hit.size)
+    while live.size:  # each pass clips more of every row it keeps, or refutes its prediction once
+        gl, ul, held = (_take_rows(x, live) for x in (g, u, clipped))
+        left = budget - np.add.reduce(held, axis=1) * cap
+        room = np.where(left > dust, left, 0.0)
+        total, spend = _capped_pass(gl, ul, room, *_waterfill_sums(gl * ~held, np.copy(ul), ul > 0))
+        reached = spend >= at_cap
+        over = reached & ~held  # free sensors at or past their cap
+        grows = over.any(axis=1)
+        refuted = checked[live] & (grows | (held & ~reached).any(axis=1) | (left < -dust))
+        done = ~(grows | refuted)
+        free_total[live[done]] = total[done]
+        clipped[live[grows]] |= over[grows]
+        clipped[live[refuted]] = first[live[refuted]]
+        checked[live] = False
+        live = live[~done]
+    x = cap * eta
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on unusable sensors, never clipped
+        capped = np.where(clipped, x / (x / g + 1.0), 0.0)
+    # A running sum adds in sensor order at any row count; a reduce over one row pairs its terms.
+    capped = _cumsum_sensors(capped, out=capped)[:, -1]
+    mse[hit] = _mse_from_total(free_total + capped, sigma_theta_sq)
+    return mse
+
+
+def _capped_pass(g, u, budget, turn_on, w, prefix_gamma, q, a):
+    """One sum-power waterfill per ranked row from its sums, at one ``budget`` B or one per row:
+    the fused SNR of the sensors on, and each sensor's uncapped spend gamma u (c - u) at c.
+
+    c - u_k is (B - T_cut)/a_cut + (u_cut - u_k), two non-negative terms on the sensors on.
+    B = 0 puts c at the first sensor with gamma > 0, and c is +inf where there is none.
+    """
+    k1 = np.add.reduce(turn_on <= np.reshape(budget, (-1, 1)), axis=1)
+    t, a, anchor, w, g_cut, q = _at_cut(k1, turn_on, a, u, w, prefix_gamma, q)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where nothing is on
+        excess = np.where(a > 0, (budget - t) / a, np.inf)
+        total = np.where(w > 0, (g_cut * budget + q) / (budget + w), 0.0)
+        return total, g * u * (excess[:, None] + (anchor[:, None] - u))
 
 
 __all__ = [

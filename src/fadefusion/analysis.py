@@ -44,6 +44,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .allocation import (
+    _capped_mse,
+    _capped_rows,
     _equal_budget,
     _equal_mse,
     _equal_rows,
@@ -52,7 +54,6 @@ from .allocation import (
     _shrink,
     _waterfill_mse,
     _waterfill_prefix,
-    capped_mse_batch,
     equal_power_mse_batch,
     sum_power_mse_batch,  # unused here; stays importable, as perfbench's --trace 1 patches it here
 )
@@ -214,8 +215,8 @@ def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
         return (_waterfill_prefix(gamma, s),
                 lambda budget, *prefix: _waterfill_mse(*prefix, budget, sigma_sq)[0])
     if isinstance(policy, CappedPolicy):
-        return (gamma, s), lambda budget, gamma, s: capped_mse_batch(
-            gamma, s, sigma_sq, budget, policy.cap_scale * budget / gamma.shape[1])
+        return _capped_rows(gamma, s), lambda budget, *rows: _capped_mse(
+            *rows, budget, policy.cap_scale * budget / gamma.shape[1], sigma_sq)
     raise TypeError(f"unknown policy {policy!r}")
 
 

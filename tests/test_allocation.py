@@ -746,9 +746,9 @@ class TestBatchKernels:
                 assert k1_min[i] == mp_diag.active_count
 
     def test_caps_that_spend_exactly_the_budget_run_at_their_caps(self):
-        # Two live caps of P/2: the spend reaches P only at the last cap breakpoint, where
-        # rounding can leave it short.  The scan then ends on the open segment before the
-        # dead sensor's breakpoints at +inf, and every live sensor must sit exactly at its cap.
+        # Two live caps of P/2 and a dead sensor: the second cap is reached only on the budget
+        # the first leaves, where rounding can leave it short, and every live sensor must sit
+        # exactly at its cap.
         gamma = np.array([[100.0, 100.0, 100.0]])
         s = np.array([[0.0, 3742.33867768937, 78145.29984977255]])
         cap = 1.5 * 1e-2 / 3
@@ -756,8 +756,8 @@ class TestBatchKernels:
         assert capped_mse_batch(gamma, s, 1.0, 1e-2, cap)[0] == 1.0 / np.sum(x / (x / gamma + 1.0))
 
     def test_caps_that_round_above_the_budget_are_not_an_overspend(self):
-        # Two caps of 1.5 P/3 sum to P plus one ulp, and the scan lands on the segment where
-        # both are capped: that is rounding, not a budget that rounded away.
+        # Two caps of 1.5 P/3 sum to P plus one ulp: that is rounding, not caps that spend more
+        # than the budget.
         gamma = np.array([[100.0, 100.0, 100.0]])
         s = np.array([[16699.86323353335, 10467.67094415904, 223078.92748800467]])
         p_tot, cap = 0.003, 1.5 * 0.003 / 3
@@ -767,9 +767,20 @@ class TestBatchKernels:
         mse = capped_mse_batch(gamma, s, 1.0, p_tot, cap)[0]
         assert mse == pytest.approx(ff.blue_mse(row, capped), rel=1e-12)
 
+    def test_a_budget_the_breakpoint_spend_lost_is_not_an_outage(self):
+        # At this gamma a breakpoint spend summed as slope * c - offset cancels, and a kernel
+        # that solved on the segment it found read this feasible row as an outage.
+        gamma = np.array([[54857213854.80541, 2487.334967287267]])
+        s = np.array([[0.0038579441124983343, 2.3151892105081067]])
+        p_tot, cap = 1.6e-6, 1.2e-6
+        row = snap(gamma[0], s[0])
+        capped, _ = ff.max_performance_with_caps(row, p_tot, ff.CapVector.uniform(2, cap))
+        expected = ff.blue_mse(row, capped)
+        assert expected == pytest.approx(359886.51, rel=1e-7)
+        assert capped_mse_batch(gamma, s, 1.0, p_tot, cap)[0] == pytest.approx(expected, rel=1e-12)
+
     def test_unbounded_caps_give_the_uncapped_optimum(self):
-        # Every cap breakpoint sits at +inf, so the scan solves on the open segment after the
-        # last sensor turns on.  Rows: all sensors on, a dead sensor, a dead row.
+        # An infinite cap never binds.  Rows: all sensors on, a dead sensor, a dead row.
         gamma = np.array([[1.0, 1.0], [2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
         s = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 4.0], [0.0, 0.0]])
         for budget in (1e-3, 1.0, 1e3):
@@ -798,8 +809,8 @@ class TestBatchKernels:
             assert mse == pytest.approx(exact, rel=1e-15)
 
     def test_a_cap_of_at_least_the_budget_never_binds(self):
-        # At K=1 a cap of 1.5 P: its breakpoint u + cap/(gamma u) rounds onto u, and the scan
-        # read the row as an outage.  No sensor can spend more than the budget.
+        # At K=1 a cap of 1.5 P, whose breakpoint u + cap/(gamma u) rounds onto u.  No sensor
+        # can spend more than the budget, so the cap never binds.
         gamma, s = np.ones((1, 1)), np.ones((1, 1))
         mse = capped_mse_batch(gamma, s, 1.0, 1e-16, 1.5e-16)
         assert _bits(mse) == _bits(sum_power_mse_batch(gamma, s, 1.0, 1e-16)[0])

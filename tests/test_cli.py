@@ -277,6 +277,24 @@ class TestRun:
         )
         assert main(["run", "--config", write(tmp_path, "bad.ini", bad)]) == 3
 
+    def test_min_power_at_a_huge_prior_computes_no_infeasible_total(self, tmp_path):
+        # At sigma_theta^2 = 1.08e157 the last point's 54 infeasible rows overflowed a total that
+        # was then masked out; the suite's RuntimeWarning filter turns that into a failure.
+        out = tmp_path / "mp.csv"
+        text = (
+            "[experiment]\nscenario = min-power\nk = 97\ntrials = 200\nseed = 281\n"
+            "[sweep]\naxis = d0\nstart = 0.000484\nstop = 0.000114\npoints = 3\n"
+        )
+        argv = ["run", "--config", write(tmp_path, "mp.ini", text), "--output", str(out),
+                "--workers", "1"]
+        for setting in ("sigma_theta_sq=1.08e157", "observation=uniform", "obs_low=0.005",
+                        "obs_high=0.02"):
+            argv += ["--set", f"model.{setting}"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[6:]]
+        assert [row[-1] for row in rows] == ["0", "0", "54"]
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
     def test_a_fresh_cli_process_writes_the_same_bytes_at_two_workers(self, tmp_path):
         # main() runs in this process, where numpy loaded long ago; a fresh CLI process
         # forks its pool from its own single-threaded start-up.  Two chunks, so two tasks.

@@ -23,13 +23,20 @@ def log_uniform(lo: float, hi: float):
 
 
 @st.composite
-def snapshots(draw, max_gamma_db=40):
-    """Snapshots with gamma over -20..max_gamma_db dB and s over -30..60 dB or dead; one sensor lives."""
+def snapshots(draw, max_gamma_db=40, max_s_db=60):
+    """Snapshots with gamma over -20..max_gamma_db dB and s over -30..max_s_db dB or dead; one
+    sensor lives."""
     k = draw(st.integers(1, 8))
     gamma = draw(st.lists(log_uniform(-2, max_gamma_db / 10), min_size=k, max_size=k))
-    s = draw(st.lists(st.one_of(st.just(0.0), log_uniform(-3, 6)), min_size=k, max_size=k))
-    s[draw(st.integers(0, k - 1))] = draw(log_uniform(-3, 6))
+    live = log_uniform(-3, max_s_db / 10)
+    s = draw(st.lists(st.one_of(st.just(0.0), live), min_size=k, max_size=k))
+    s[draw(st.integers(0, k - 1))] = draw(live)
     return ff.Snapshot.from_arrays(1.0, gamma, s)
+
+
+#: The capped kernel's draws: gamma over 1e-2..1e18, s over 1e-3..1e8 and budgets over
+#: 1e-14..1e2 W, where a breakpoint spend summed as slope * c - offset cancelled.
+wide_snapshots, wide_budgets = snapshots(max_gamma_db=180, max_s_db=80), log_uniform(-14, 2)
 
 
 budgets = log_uniform(-3, 3)
@@ -46,7 +53,7 @@ def row_arrays(snapshot):
 REL = 1e-12
 
 
-@given(snapshots(), budgets, cap_scales)
+@given(wide_snapshots, wide_budgets, cap_scales)
 @example(ff.Snapshot.from_arrays(1.0, [100.0], [0.01]), 1e-3, 2.0)  # sum(gamma) - a/c cancels here
 @example(  # flat segment: two capped sensors spend exactly P, so B's slope is 0 there
     ff.Snapshot.from_arrays(
@@ -82,7 +89,7 @@ def test_capped_batch_kernel_matches_row_solver(snapshot, p_tot, cap_scale):
     assert batch == pytest.approx(ff.blue_mse(snapshot, capped), rel=REL)
 
 
-@given(snapshots(), budgets, cap_scales)
+@given(wide_snapshots, wide_budgets, cap_scales)
 def test_optimal_beats_capped_beats_equal(snapshot, p_tot, cap_scale):
     gamma, s = row_arrays(snapshot)
     optimal = sum_power_mse_batch(gamma, s, 1.0, p_tot)[0][0]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import fadefusion as ff
 import fadefusion.analysis as analysis
+from fadefusion.allocation import capped_mse_batch
 from fadefusion.analysis import Curve, estimate_sweep
 from fadefusion.channel import default_network
 from fadefusion.cli import main
@@ -122,7 +123,7 @@ def kernel_mse(policy, k, s, gamma, p_tot):
         return analysis.equal_power_mse_batch(gamma, s, 1.0, p_tot)
     if isinstance(policy, ff.OptimalPolicy):
         return analysis.sum_power_mse_batch(gamma, s, 1.0, p_tot)[0]
-    return analysis.capped_mse_batch(gamma, s, 1.0, p_tot, policy.cap_scale * p_tot / k)
+    return capped_mse_batch(gamma, s, 1.0, p_tot, policy.cap_scale * p_tot / k)
 
 
 def kernel_outage_counts(policy, k, s, gamma, d0, budgets):
