@@ -119,6 +119,11 @@ def _require_finite_gamma(snapshot: Snapshot) -> None:
         )
 
 
+def _require_merit(snapshot: Snapshot) -> None:
+    if not snapshot.eta.any():
+        raise NoUsableSensor("all channel merits are zero")
+
+
 # ---------------------------------------------------------------------------
 # Row scans: sum-power waterfilling and minimum power under a target
 # ---------------------------------------------------------------------------
@@ -127,8 +132,7 @@ def _require_finite_gamma(snapshot: Snapshot) -> None:
 def _check_budget(snapshot: Snapshot, total_power: float) -> None:
     _check_positive("total_power", total_power)
     _require_finite_gamma(snapshot)
-    if not snapshot.eta.any():
-        raise NoUsableSensor("all channel merits are zero")
+    _require_merit(snapshot)
 
 
 def _rank_row(snapshot: Snapshot):
@@ -203,7 +207,7 @@ def _predict_clipped(u, rise, cap, budget) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         at_cap = u + cap / rise
         breaks = np.concatenate((u, at_cap), axis=1)
-        permute = _row_sorter(breaks)[1]
+        permute = _row_sorter(breaks)
         slope = _cumsum_sensors(permute(np.concatenate((rise, -rise), axis=1)))
         breaks = permute(breaks)
         spend = _lead(breaks[:, 1:] - breaks[:, :-1], slope)
@@ -321,9 +325,11 @@ def max_performance_with_caps(
 def _check_target(snapshot: Snapshot, distortion_target: float) -> float:
     """Validate strict feasibility and return the required fused SNR total."""
     _check_positive("distortion_target", distortion_target)
-    floor = distortion_floor(snapshot)
+    _require_finite_gamma(snapshot)
+    floor = distortion_floor(snapshot)  # inf on dead channels alone
     if distortion_target <= floor:
         raise InfeasibleTarget(distortion_target, floor)
+    _require_merit(snapshot)  # live channels whose merits all underflow leave the floor finite
     return snapshot.prior.variance_theta / distortion_target
 
 
@@ -339,7 +345,6 @@ def min_power_allocation(
     threshold scan and the dual multiplier are consistent with; the achieved
     distortion equals the target.
     """
-    _require_finite_gamma(snapshot)
     required = _check_target(snapshot, distortion_target)
 
     order, gamma_u, u = _rank_row(snapshot)
@@ -401,7 +406,6 @@ def l2_min_power_allocation(snapshot: Snapshot, distortion_target: float) -> All
     Newton from lam = 0 rises to the target.  Every usable sensor ends up
     active: the marginal squared-power cost vanishes at zero budget.
     """
-    _require_finite_gamma(snapshot)
     required = _check_target(snapshot, distortion_target)
 
     usable = snapshot.eta > 0
@@ -464,20 +468,20 @@ def _cumsum_sensors(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
 
 
 def _row_sorter(keys: np.ndarray):
-    """Stable argsort of each row of ``keys``, and a function permuting any chunk's rows by it.
+    """A function permuting any chunk's rows by the stable argsort of each row of ``keys``.
 
-    Returns (order, permute); both keep the memory order of ``keys``.  A chunk is gathered through
-    its flat index in that order: a column-major one stays column-major (take_along_axis would not),
-    and one row, as in a row solve's scan, by its order alone (0.5 us; take_along_axis takes 4).
+    The result keeps the memory order of ``keys``.  A chunk is gathered through its flat index in
+    that order: a column-major one stays column-major (take_along_axis would not), and one row,
+    as in a row solve's scan, by its argsort order alone (0.5 us; take_along_axis takes 4).
     """
     if _layout(keys) == "C":
         order = np.argsort(keys, axis=1, kind="stable")
         at = order + np.arange(0, order.size, keys.shape[1])[:, None] if len(keys) > 1 else order
-        return order, lambda x: x.ravel()[at]
+        return lambda x: x.ravel()[at]
     order = np.argsort(keys.T, axis=0, kind="stable").T  # sorted as rows, stored column-major
     at = order * keys.shape[0]
     at += np.arange(keys.shape[0])[:, None]
-    return order, lambda x: x.ravel("F")[at]
+    return lambda x: x.ravel("F")[at]
 
 
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -497,7 +501,7 @@ def _shrink(arrays, live: np.ndarray):
 def _rank_batch(gamma: np.ndarray, s: np.ndarray):
     """Each row's gamma and merit eta, ranked by descending merit, in the chunk's memory order."""
     eta = s / (1.0 + 1.0 / gamma)
-    permute = _row_sorter(-eta)[1]
+    permute = _row_sorter(-eta)
     return permute(gamma), permute(eta)
 
 

@@ -463,13 +463,15 @@ class RateFunctionQuery:
             _check_positive("mean_b", self.mean_b)
         if self.samples is not None:
             samples = np.asarray(self.samples, dtype=float)
-            if samples.size < 2:
-                raise ValueError("need at least two samples")
+            if samples.size < 2 or not np.isfinite(samples).all():
+                raise ValueError("need at least two samples, all finite")
             object.__setattr__(self, "samples", samples)
 
 
-#: Absolute tolerance on the maximizing theta of rate_function_numeric.
+#: Tolerance on the maximizer of rate_function_numeric, relative to the width of its bracket.
 _THETA_TOL = 1e-12
+#: DivergentMGF's message when rate_function_numeric finds no interior maximizer.
+_NO_MAXIMIZER = "supremum attained at the MGF domain boundary: the slope keeps its sign"
 
 
 def rate_function_exponential(a: float, mean_b: float) -> float:
@@ -479,81 +481,60 @@ def rate_function_exponential(a: float, mean_b: float) -> float:
 
 
 def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False):
-    """Rate function by maximizing theta*a - log M(theta) over the MGF domain.
+    """Rate function I(a) = sup over theta of -log E[exp(theta (X - a))], without cancellation.
 
-    The maximand is concave, so its derivative is decreasing and the
-    maximizer is located by bracketed root finding to ``_THETA_TOL``.
-    Raises DivergentMGF when the supremum runs off to the domain boundary
-    (for empirical samples: ``a`` outside the open sample range).
+    For samples the maximand is log n - logsumexp(theta (x - a)), for the exponential
+    theta*a + log1p(-b theta).  It is concave and 0 at theta = 0, so the search steps from 0
+    toward the maximizer in t = theta * scale (b, or the largest |x - a|: no step depends on
+    the units of X), halving t's distance to the exponential's domain edge t = 1 down to 2^-53,
+    or else doubling t from 1, up to 400 times.  The first sign change of the slope and the
+    point before it bracket the root, which brentq finds to ``_THETA_TOL`` of the bracket.
+    Raises DivergentMGF if the slope keeps its sign or turns NaN: the supremum lies at the
+    domain edge or diverges (samples with ``a`` outside the open sample range; a/b >= 2^53).
     """
     from scipy.optimize import brentq
     from scipy.special import logsumexp
 
-    a = query.a
     if query.mean_b is not None:
-        b = query.mean_b
-        mean = b
-        domain_sup = 1.0 / b
+        scale, ratio = query.mean_b, query.a / query.mean_b
 
-        def slope(theta: float) -> float:
-            return a - b / (1.0 - b * theta)
+        def slope(t: float) -> float:
+            return ratio - 1.0 / (1.0 - t)
 
-        def log_mgf(theta: float) -> float:
-            return -math.log1p(-b * theta)
+        def maximand(t: float) -> float:
+            return t * ratio + math.log1p(-t)
 
     else:
-        x = query.samples
-        mean = float(np.mean(x))
-        domain_sup = math.inf
-        if a >= float(np.max(x)) or a <= float(np.min(x)):
-            raise DivergentMGF(
-                "supremum attained at the MGF domain boundary; "
-                "a lies outside the open sample range"
-            )
+        y = query.samples - query.a
+        if not y.min() < 0 < y.max():  # a outside the open sample range: the slope keeps its sign
+            raise DivergentMGF(_NO_MAXIMIZER)
+        scale = float(np.abs(y).max())  # > 0 here; the mean |x - a| can underflow to 0
+        y /= scale
 
-        def slope(theta: float) -> float:
-            weights = theta * x
-            weights = weights - np.max(weights)
-            w = np.exp(weights)
-            return a - float((x * w).sum() / w.sum())
+        def slope(t: float) -> float:
+            w = t * y
+            w = np.exp(w - w.max(), out=w)
+            return -float(y @ w / w.sum())
 
-        def log_mgf(theta: float) -> float:
-            return float(logsumexp(theta * x) - math.log(x.size))
+        def maximand(t: float) -> float:
+            return math.log(y.size) - float(logsumexp(t * y))
 
-    if a == mean:
+    direction = np.sign(slope(0.0))
+    if direction == 0:  # a is the mean
         return (0.0, 0.0) if full_output else 0.0
+    halving = query.mean_b is not None and direction > 0
+    lo = 0.0
+    for k in range(1, 54 if halving else 401):
+        hi = 1.0 - 2.0**-k if halving else math.copysign(2.0 ** (k - 1), direction)
+        if slope(hi) * direction < 0:
+            break
+        lo = hi
+    else:
+        raise DivergentMGF(_NO_MAXIMIZER)
 
-    if a > mean:  # upper tail: maximizer at positive theta
-        lo = 0.0
-        if math.isfinite(domain_sup):
-            for j in range(1, 200):
-                hi = domain_sup * (1.0 - 2.0**-j)
-                if slope(hi) < 0:
-                    break
-                lo = hi
-            else:
-                raise DivergentMGF("no interior maximizer below the MGF domain boundary")
-        else:
-            hi = 1.0
-            for _ in range(400):
-                if slope(hi) < 0:
-                    break
-                lo, hi = hi, hi * 2.0
-            else:
-                raise DivergentMGF("slope never turned negative; supremum diverges")
-    else:  # lower tail: maximizer at negative theta
-        hi = 0.0
-        lo = -1.0
-        for _ in range(400):
-            if slope(lo) > 0:
-                break
-            hi, lo = lo, lo * 2.0
-        else:
-            raise DivergentMGF("slope never turned positive; supremum diverges")
-
-    theta_star = brentq(slope, lo, hi, xtol=_THETA_TOL)
-    value = max(theta_star * a - log_mgf(theta_star), 0.0)
-    return (value, theta_star) if full_output else value
+    t = brentq(slope, lo, hi, xtol=_THETA_TOL * abs(hi - lo))
+    value = max(maximand(t), 0.0)
+    return (value, t / scale) if full_output else value
 
 
 def chernoff_bound(k: int, rate_value: float) -> float:

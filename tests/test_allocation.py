@@ -558,6 +558,20 @@ class TestMinPower:
             ff.min_power_allocation(s1, 0.5)
         assert excinfo.value.floor == pytest.approx(1.0, rel=1e-12)
 
+    def test_live_channels_whose_merits_all_underflow_have_no_usable_sensor(self):
+        # eta = 3e-75 / (1 + 1e299) rounds to 0, yet s > 0 keeps the floor finite (1e299).
+        s1 = snap([1e-299, 2.0], [3e-75, 0.0])
+        assert ff.distortion_floor(s1) == pytest.approx(1e299, rel=1e-12)
+        with pytest.raises(ff.NoUsableSensor, match="all channel merits are zero"):
+            ff.min_power_allocation(s1, 1e301)
+
+    @pytest.mark.parametrize("solve", [ff.min_power_allocation, ff.l2_min_power_allocation])
+    def test_a_noiseless_sensor_is_refused_before_the_floor_check(self, solve):
+        # The dead noiseless sensor leaves the floor at 0.5, above the target.
+        s1 = snap([ff.NOISELESS, 2.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite observation SNRs"):
+            solve(s1, 0.1)
+
     def test_meets_the_target_next_to_a_huge_gamma(self):
         # c*sqrt(eta) - 1 rounded the 1e20 sensor's budget to 0, and the distortion read 1.8.
         s1 = snap([3.0, 1e20, 5.0], [2.0, 1.0, 0.5])
@@ -678,6 +692,11 @@ class TestL2MinPower:
     def test_infeasible_target(self):
         with pytest.raises(ff.InfeasibleTarget):
             ff.l2_min_power_allocation(snap([0.6, 0.4], [1.0, 1.0]), 0.5)
+
+    def test_live_channels_whose_merits_all_underflow_have_no_usable_sensor(self):
+        # Such a snapshot used to get an all-zero allocation, whose distortion is inf.
+        with pytest.raises(ff.NoUsableSensor, match="all channel merits are zero"):
+            ff.l2_min_power_allocation(snap([1e-299, 2.0], [3e-75, 0.0]), 1e301)
 
 
 class TestNumericReference:

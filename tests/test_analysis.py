@@ -186,6 +186,44 @@ class TestRateFunctions:
         got = ff.rate_function_numeric(ff.RateFunctionQuery(a=1.0, samples=x))
         assert got == pytest.approx(ff.rate_function_exponential(1.0, 2.0), rel=0.03)
 
+    @pytest.mark.parametrize("c", [1.0, 2.0**10, 2.0**20])
+    def test_two_point_samples_keep_full_precision(self, c):
+        # x - a is exact here; theta*a - log M(theta) cancelled and read 0.125 at c = 2^20.
+        x = np.array([c, c + 2.0**-26] * 5)
+        got = ff.rate_function_numeric(ff.RateFunctionQuery(a=c + 0.75 * 2.0**-26, samples=x))
+        exact = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_the_units_of_x_do_not_change_the_value(self, scale):
+        # An absolute theta tolerance of 1e-12 dwarfed a maximizer of ~1e-200, and 400
+        # doublings from theta = 1 fell short of one of ~1e200.
+        x, a = np.array([1.0, 2.0, 4.0]), 1.5
+        query = ff.RateFunctionQuery(a=a * scale, samples=x * scale)
+        value, theta = ff.rate_function_numeric(query, full_output=True)
+        unit_query = ff.RateFunctionQuery(a=a, samples=x)
+        unit, unit_theta = ff.rate_function_numeric(unit_query, full_output=True)
+        assert value == pytest.approx(unit, rel=1e-13)
+        assert theta * scale == pytest.approx(unit_theta, rel=1e-12)
+        closed = ff.rate_function_numeric(ff.RateFunctionQuery(a=3.0 * scale, mean_b=scale))
+        assert closed == pytest.approx(ff.rate_function_exponential(3.0, 1.0), rel=1e-13)
+
+    def test_samples_one_subnormal_step_from_a(self):
+        # The mean |x - a| of these, 0.5 * 5e-324, rounds to 0; the largest |x - a| does not.
+        a = 5.6e-309
+        x = np.array([a - 5e-324, a + 5e-324])
+        assert ff.rate_function_numeric(ff.RateFunctionQuery(a=a, samples=x)) == 0.0
+        x = np.array([a - 5e-324, a + 1e-323])
+        exact = 2.0 / 3.0 * math.log(4.0 / 3.0) + 1.0 / 3.0 * math.log(2.0 / 3.0)
+        got = ff.rate_function_numeric(ff.RateFunctionQuery(a=a, samples=x))
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    def test_divergence_past_the_last_halving_step(self):
+        # a/b > 2^53: the maximizer lies within one ulp of the domain edge 1/b.
+        for a, mean_b in ((1e20, 1.0), (3.16e117, 6.29e-141)):
+            with pytest.raises(ff.DivergentMGF):
+                ff.rate_function_numeric(ff.RateFunctionQuery(a=a, mean_b=mean_b))
+
     def test_empirical_divergence_outside_sample_range(self):
         x = np.array([1.0, 2.0, 3.0])
         with pytest.raises(ff.DivergentMGF):
@@ -198,6 +236,9 @@ class TestRateFunctions:
             ff.RateFunctionQuery(a=1.0)
         with pytest.raises(ValueError):
             ff.RateFunctionQuery(a=1.0, mean_b=2.0, samples=np.ones(3))
+        for bad in ([math.nan, 1.0, 2.0], [math.inf, 1.0], [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="all finite"):
+                ff.RateFunctionQuery(a=1.0, samples=np.array(bad))
         for a, mean_b in ((-1.0, 2.0), (math.inf, 2.0), (1.0, math.inf), (1.0, math.nan)):
             with pytest.raises(ValueError):
                 ff.RateFunctionQuery(a=a, mean_b=mean_b)

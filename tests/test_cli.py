@@ -416,6 +416,13 @@ class TestAlloc:
         assert main(["alloc", path, "--target", "1"]) == 3
         assert "feasibility_floor=inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l2", [[], ["--l2"]], ids=["min-sum", "l2"])
+    def test_target_on_merits_that_all_underflow_exits_3(self, tmp_path, capsys, l2):
+        # eta underflows to 0 on the live channel, but its s > 0 puts the floor at 1e299.
+        path = write(tmp_path, "s.txt", "sigma_theta_sq = 1\n1e-299 3e-75\n2 0\n")
+        assert main(["alloc", path, "--target", "1e301", *l2]) == 3
+        assert capsys.readouterr().err == "infeasible: all channel merits are zero\n"
+
     def test_min_power_with_a_subnormal_requirement(self, tmp_path, capsys):
         # sigma^2/target = 1e-310: the old cut divided L by required * u, which overflowed.
         path = write(tmp_path, "s.txt", "sigma_theta_sq = 1e-300\n88.5 1.0\n24298.6 1000.0\n")
@@ -464,6 +471,19 @@ class TestRateAndDinf:
         assert main(["rate", "--a", "0.3", "--samples", samples]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: supremum attained")
+
+    @pytest.mark.parametrize("a, mean_b", [("1e20", "1"), ("3.16e117", "6.29e-141")])
+    def test_rate_past_the_last_halving_step_exits_2(self, capsys, a, mean_b):
+        # a/b > 2^53: the maximizer lies within one ulp of 1/b, where 1 - b theta rounded to 0.
+        assert main(["rate", "--a", a, "--mean-b", mean_b]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: supremum attained")
+
+    @pytest.mark.parametrize("text", ["nan\n1\n2\n", "inf\n1\n"], ids=["nan", "inf"])
+    def test_rate_from_non_finite_samples_exits_2(self, tmp_path, capsys, text):
+        samples = write(tmp_path, "x.txt", text)
+        assert main(["rate", "--a", "1", "--samples", samples]) == 2
+        assert capsys.readouterr().err == "error: need at least two samples, all finite\n"
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_dinf_needs_at_least_one_sensor(self, capsys, k):
@@ -545,11 +565,11 @@ _PREFIXES = ("error: ", "infeasible: ", "internal consistency failure: ", "conve
 
 
 @st.composite
-def _value(draw, default):
-    """A bad token one time in ten, else ``default`` times 10^U(-3, 3)."""
+def _value(draw, default, span=3.0):
+    """A bad token one time in ten, else ``default`` times 10^U(-span, span)."""
     if draw(st.integers(0, 9)) == 9:
         return draw(st.sampled_from(_BAD_TOKENS))
-    return repr(default * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    return repr(default * 10.0 ** draw(st.floats(-span, span)))
 
 
 @st.composite
@@ -607,13 +627,19 @@ def _alloc_cases(draw):
 
 @st.composite
 def _rate_cases(draw):
-    argv, files = ["rate", f"--a={draw(_value(1.0))}"], {}
+    """``--a`` and ``--mean-b`` over 10^U(-300, 300), or samples c (1 + d U) with c over
+    10^U(-300, 300) and d over 10^U(-20, 0), and then, one time in two, ``--a`` drawn alike."""
+    a, files = draw(_value(1.0, 300.0)), {}
     if draw(st.booleans()):
-        argv.append(f"--mean-b={draw(_value(2.0))}")
+        argv = ["rate", f"--mean-b={draw(_value(2.0, 300.0))}"]
     else:
-        samples = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6))
-        argv.append("--samples={dir}/x.txt")
+        c, d = 10.0 ** draw(st.floats(-300.0, 300.0)), 10.0 ** draw(st.floats(-20.0, 0.0))
+        spread = st.floats(0.0, 1.0).map(lambda u: c * (1.0 + d * u))
+        samples = draw(st.lists(spread, min_size=1, max_size=6))
+        a = repr(draw(spread)) if draw(st.booleans()) else a
+        argv = ["rate", "--samples={dir}/x.txt"]
         files["x.txt"] = "\n".join(map(repr, samples))
+    argv.append(f"--a={a}")
     if draw(st.booleans()):
         argv.append(f"--k={draw(st.integers(-2, 50))}")
     return argv, files
