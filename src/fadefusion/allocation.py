@@ -33,18 +33,17 @@ answer depends only on the final clipped set.  After its first clipping pass
 the breakpoint scan ``_predict_clipped`` predicts the rest of the clipped
 set; the next waterfill checks it, and a refuted prediction reruns the plain
 loop, so the loop, not the scan, decides every answer.  ``capped_mse_batch``
-runs the same checked loop, with the same scan, on whole chunks; each of its
-passes is one sum-power waterfill (``_waterfill_sums``) in which the clipped
-sensors' gamma is 0.
+runs the same checked loop on whole chunks, each pass one sum-power waterfill
+in which the clipped sensors' gamma is 0.
 
-A chunk is a (trials, K) array, and the batch kernels keep the memory order
-they are given.  ``sample_batch`` hands out chunks of fewer than 8 sensors
-column-major, so every sum over sensors adds whole contiguous columns:
-``np.sum(axis=1)`` does so by itself, and every prefix sum over sensors goes
-through ``_cumsum_sensors``, which adds column j-1 into column j.  Both make
-numpy's own additions in numpy's own order, so the output bits do not
-depend on the layout.  Row sorts and gathers (``_row_sorter``,
-``_take_rows``) keep a column-major chunk column-major.
+A chunk is a (trials, K) array.  Every batch kernel but the equal split reads
+one merit ranking per row and one shared scan (``_rank_scan``), column-major
+at any K, so every prefix sum over sensors adds whole contiguous columns
+(``_cumsum_sensors`` adds column j-1 into column j: numpy's own additions in
+numpy's own order).  The equal split keeps the chunk's order, and
+``sample_batch`` hands out chunks of fewer than 8 sensors column-major, where
+``np.sum(axis=1)`` adds whole columns too.  Row sorts and gathers
+(``_row_sorter``, ``_take_rows``) keep a column-major chunk column-major.
 
 All solvers require finite observation SNRs: a noiseless sensor has
 constant (non-diminishing) marginal returns, so the threshold structure
@@ -498,24 +497,6 @@ def _shrink(arrays, live: np.ndarray):
     return [_take_rows(x, live) for x in arrays], np.arange(live.size)
 
 
-def _rank_batch(gamma: np.ndarray, s: np.ndarray):
-    """Each row's gamma and merit eta, ranked by descending merit, in the chunk's memory order."""
-    eta = s / (1.0 + 1.0 / gamma)
-    permute = _row_sorter(-eta)
-    return permute(gamma), permute(eta)
-
-
-def _ranked_u(g, eta):
-    """Ranked g, u = 1/sqrt(eta) in the place of eta and the usable mask (eta > 0); g and u are 0
-    on unusable sensors, and along a row u does not decrease until the unusable tail."""
-    dead = eta == 0
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, np.sqrt(eta, out=eta), out=eta)
-    eta[dead] = 0.0
-    g[dead] = 0.0
-    return g, eta, ~dead
-
-
 def _min_power_cut(u, du, prefix_gamma, required, usable):
     """(k1, f): the k1 usable sensors per ranked row where f_m = R u_m - L_m > 0, and f.
 
@@ -556,37 +537,55 @@ def _lead(du, prefix, out=None):
     return lead
 
 
-def _waterfill_prefix(gamma, s):
-    """Budget-independent sums of the sum-power scan: ``_waterfill_sums`` but a, run down the
-    columns of column-major copies of the ranked rows (the bits of numpy's accumulate along a
-    row, at about 4 ns a value)."""
-    g, u, usable = (np.asfortranarray(x) for x in _ranked_u(*_rank_batch(gamma, s)))
-    return _waterfill_sums(g, u, usable)[:4]
+def _rank_scan(gamma, s):
+    """Each row of a chunk ranked by descending merit once, and the scan both problems read:
+    ranked g, eta, u = 1/sqrt(eta) (g and u 0 on unusable sensors; u does not decrease along a row
+    until the unusable tail), the usable mask (eta > 0) and ``_shared_scan``'s du, a, T and G, all
+    column-major and each in a buffer that no kernel writes over."""
+    eta = np.divide(1.0, gamma)
+    eta = np.divide(s, np.add(eta, 1.0, out=eta), out=eta)  # s / (1 + 1/gamma) in one buffer
+    g, eta = (np.asfortranarray(x) for x in map(_row_sorter(-eta), (gamma, eta)))
+    dead = eta == 0
+    u = np.sqrt(eta)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, u, out=u)
+    g[dead] = u[dead] = 0.0
+    return (g, eta, u, ~dead, *_shared_scan(g, u, dead))
 
 
-def _waterfill_sums(g, u, usable):
-    """The sum-power scan's sums along ranked rows, in the place of g and u.
-
-    Returns the turn-on budgets T (+inf on unusable sensors), w = cumsum(gamma
-    u^2), G = cumsum(gamma), Q_m = sum_{j<k<=m} gamma_j gamma_k (u_k - u_j)^2
-    and a = cumsum(gamma u).  Q is G w - a^2 (Lagrange's identity) without the
-    cancellation: Q = cumsum(gamma S2), S2_m = sum_{j<m} gamma_j (u_m - u_j)^2
-    = ``_lead`` of L_m + L_{m+1}.  A sensor with gamma 0 drops out of every sum.
-    """
+def _shared_scan(g, u, dead):
+    """Running sums along ranked rows that both problems read: du = diff(u), a = cumsum(gamma u),
+    the turn-on budgets T = ``_lead`` of a (+inf on ``dead`` sensors) and G = cumsum(gamma)."""
     du = u[:, 1:] - u[:, :-1]
-    prefix_gamma = _cumsum_sensors(g)
+    a = g * u
+    turn_on = _lead(du, _cumsum_sensors(a, out=a))
+    turn_on[dead] = np.inf
+    return du, a, turn_on, _cumsum_sensors(g)
+
+
+def _waterfill_sums(g, u, du, a, turn_on, prefix_gamma):
+    """Sum-power sums of ranked g and u from their shared scan: its a, T and G, then, in fresh
+    buffers, w = cumsum(gamma u^2) and Q_m = sum_{j<k<=m} gamma_j gamma_k (u_k - u_j)^2.
+
+    Q is G w - a^2 (Lagrange's identity) without the cancellation: Q = cumsum(gamma S2), S2_m =
+    sum_{j<m} gamma_j (u_m - u_j)^2 = ``_lead`` of L_m + L_{m+1}, L = ``_lead`` of G.  Q can
+    overflow where the shared scan does not, so the min-power kernel never forms it.
+    """
     lead = _lead(du, prefix_gamma)
-    rise = g * u
-    w = _cumsum_sensors(np.multiply(rise, u, out=u), out=u)
-    a = _cumsum_sensors(rise, out=rise)
-    turn_on = _lead(du, a)
-    turn_on[~usable] = np.inf
     square = np.empty_like(lead)
     square = _lead(du, np.add(lead[:, :-1], lead[:, 1:], out=square[:, 1:]), out=square)
-    return turn_on, w, prefix_gamma, _cumsum_sensors(np.multiply(g, square, out=g), out=g), a
+    w = np.multiply(np.multiply(g, u, out=lead), u, out=lead)
+    q = np.multiply(g, square, out=square)
+    return a, turn_on, prefix_gamma, _cumsum_sensors(w, out=w), _cumsum_sensors(q, out=q)
 
 
-def _waterfill_mse(turn_on, w, prefix_gamma, q, total_power, sigma_theta_sq):
+def _waterfill_rows(ranked):
+    """The capped kernel's rows from a ``_rank_scan``: g, eta, u, a, T, G, w, Q; optimal: last 4."""
+    g, eta, u, _, *scan = ranked
+    return (g, eta, u, *_waterfill_sums(g, u, *scan))
+
+
+def _waterfill_mse(turn_on, prefix_gamma, w, q, total_power, sigma_theta_sq):
     """Optimal distortion and active count per row, one budget for every row.
 
     The k1 sensors whose turn-on budget is below P are on, and the fused SNR
@@ -612,7 +611,8 @@ def sum_power_mse_batch(
     Returns (mse, active_count), each of shape (trials,); rows with no usable
     sensor get mse = +inf and active_count = 0, matching the outage convention.
     """
-    return _waterfill_mse(*_waterfill_prefix(gamma, s), float(total_power), sigma_theta_sq)
+    return _waterfill_mse(*_waterfill_rows(_rank_scan(gamma, s))[4:], float(total_power),
+                          sigma_theta_sq)
 
 
 def equal_power_mse_batch(
@@ -642,7 +642,7 @@ def _equal_budget_batch(
 ) -> np.ndarray:
     """Smallest uniform budget meeting the target per row; +inf at or below the row's floor."""
     required = sigma_theta_sq / d0
-    feasible = np.where(s > 0, gamma, 0.0).sum(axis=1) > required
+    feasible = _live_total(gamma, s) > required
     budget = np.full(gamma.shape[0], np.inf)
     budget[feasible] = _equal_budget(*_equal_rows(gamma, s), np.flatnonzero(feasible), required)
     return budget
@@ -681,22 +681,17 @@ def min_power_total_batch(
     Returns (total_power, active_count, feasible); infeasible rows (target at
     or below the row's floor) carry total_power = +inf.
     """
-    return _min_power_total(*_min_power_rows(gamma, s), sigma_theta_sq / distortion_target)
+    return _min_power_total(*_rank_scan(gamma, s)[2:], _live_total(gamma, s),
+                            sigma_theta_sq / distortion_target)
 
 
-def _min_power_rows(gamma, s):
-    """Target-independent arrays of the min-power kernel, each row ranked by merit once:
-    ``_rank_batch``'s u and usable mask, diff(u), G = cumsum(gamma), a = cumsum(gamma u), the
-    turn-on budgets T = ``_lead`` of a, and each row's sensor-ordered total of live gamma."""
-    g, u, usable = _ranked_u(*_rank_batch(gamma, s))
-    du = u[:, 1:] - u[:, :-1]
-    a = _cumsum_sensors(g * u)
-    return (u, usable, du, _cumsum_sensors(g, out=g), a, _lead(du, a),
-            np.where(s > 0, gamma, 0.0).sum(axis=1))
+def _live_total(gamma, s):
+    """Each row's total of live gamma (s > 0), summed in sensor order as the equal split sums it."""
+    return np.where(s > 0, gamma, 0.0).sum(axis=1)
 
 
-def _min_power_total(u, usable, du, prefix_gamma, a, turn_on, live_total, required):
-    """``min_power_total_batch`` from its ``_min_power_rows`` arrays at fused SNR ``required``.
+def _min_power_total(u, usable, du, a, turn_on, prefix_gamma, live_total, required):
+    """``min_power_total_batch`` at fused SNR ``required`` from a ``_rank_scan`` but g and eta.
 
     The k1 sensors on spend T + a (c - u_k1) at the cut, and c - u_k1 = f/(G - R).  A row is
     feasible only where both its merit-ordered total (the divisor's) and its sensor-ordered total
@@ -715,20 +710,12 @@ def capped_mse_batch(
 ) -> np.ndarray:
     """Capped-allocation distortion for a (trials, K) batch, one transmit cap (may be +inf) for all
     sensors; +inf on rows with no usable sensor."""
-    return _capped_mse(*_capped_rows(gamma, s), float(total_power), float(cap_power),
-                       sigma_theta_sq)
+    return _capped_mse(*_waterfill_rows(_rank_scan(gamma, s)), float(total_power),
+                       float(cap_power), sigma_theta_sq)
 
 
-def _capped_rows(gamma, s):
-    """Budget-independent arrays of the capped kernel, column-major: ranked gamma, u and eta,
-    then ``_waterfill_sums`` over every sensor (T, w, G, Q and a)."""
-    g, eta = (np.asfortranarray(x) for x in _rank_batch(gamma, s))
-    g, u, usable = _ranked_u(g, eta.copy(order="F"))
-    return (g, u, eta, *_waterfill_sums(g.copy(order="F"), u.copy(order="F"), usable))
-
-
-def _capped_mse(g, u, eta, turn_on, w, prefix_gamma, q, a, budget, cap, sigma_theta_sq):
-    """``capped_mse_batch`` from its ``_capped_rows`` arrays at one budget and one cap.
+def _capped_mse(g, eta, u, a, turn_on, prefix_gamma, w, q, budget, cap, sigma_theta_sq):
+    """``capped_mse_batch`` from its ``_waterfill_rows`` arrays at one budget and one cap.
 
     Peak-constrained waterfilling (Palomar & Fonollosa, IEEE Trans. Signal Process.
     53(2), 2005) by ``max_performance_with_caps``'s clipping loop on whole rows.  The
@@ -741,11 +728,11 @@ def _capped_mse(g, u, eta, turn_on, w, prefix_gamma, q, a, budget, cap, sigma_th
     refuted row restarts from the first pass's clips, so the loop, not the scan, decides
     every answer.  A clipped sensor adds x/(x/gamma + 1), x = cap eta, to the fused SNR.
     """
-    mse = _waterfill_mse(turn_on, w, prefix_gamma, q, budget, sigma_theta_sq)[0]
+    mse = _waterfill_mse(turn_on, prefix_gamma, w, q, budget, sigma_theta_sq)[0]
     if cap >= budget:  # no sensor can spend more than the budget, so the cap never binds
         return mse
     at_cap = cap * (1.0 - 4.0 * np.finfo(float).eps)  # rounding just short of a cap costs no pass
-    first = _capped_pass(g, u, budget, turn_on, w, prefix_gamma, q, a)[1] >= at_cap
+    first = _capped_pass(g, u, budget, a, turn_on, prefix_gamma, w, q)[1] >= at_cap
     hit = np.flatnonzero(first.any(axis=1))
     if hit.size == 0:
         return mse
@@ -762,7 +749,9 @@ def _capped_mse(g, u, eta, turn_on, w, prefix_gamma, q, a, budget, cap, sigma_th
         gl, ul, held = (_take_rows(x, live) for x in (g, u, clipped))
         left = budget - np.add.reduce(held, axis=1) * cap
         room = np.where(left > dust, left, 0.0)
-        total, spend = _capped_pass(gl, ul, room, *_waterfill_sums(gl * ~held, np.copy(ul), ul > 0))
+        free_g = gl * ~held
+        sums = _waterfill_sums(free_g, ul, *_shared_scan(free_g, ul, ul == 0))
+        total, spend = _capped_pass(gl, ul, room, *sums)
         reached = spend >= at_cap
         over = reached & ~held  # free sensors at or past their cap
         grows = over.any(axis=1)
@@ -782,7 +771,7 @@ def _capped_mse(g, u, eta, turn_on, w, prefix_gamma, q, a, budget, cap, sigma_th
     return mse
 
 
-def _capped_pass(g, u, budget, turn_on, w, prefix_gamma, q, a):
+def _capped_pass(g, u, budget, a, turn_on, prefix_gamma, w, q):
     """One sum-power waterfill per ranked row from its sums, at one ``budget`` B or one per row:
     the fused SNR of the sensors on, and each sensor's uncapped spend gamma u (c - u) at c.
 

@@ -17,10 +17,10 @@ is sampled and evaluated in blocks of at most ``_BLOCK_VALUES`` sensor-values
 the blocks, and the blocks' per-row values are joined before a float sum.
 
 ``estimate_sweep`` runs whole sweeps: each block is sampled once per K for
-all points and policies, each policy builds its per-row arrays once per
-block for all budgets (``_policy_rows``, the one dispatch on the policy),
-min-power curves rank each block once for all targets, and one process pool
-serves the whole run.  The four estimators are one-point calls into it.
+all points and policies, each curve builds its per-row arrays once per block
+for all its points (``_policy_rows``, the one dispatch on the policy), every
+ranked kernel reads one merit ranking and one shared scan, and one process
+pool serves the whole run.  The four estimators are one-point calls into it.
 
 Outage curves are counted in ascending budget order on a shrinking set of
 trials: no policy's distortion rises with the budget, so each budget runs
@@ -45,15 +45,15 @@ import numpy as np
 
 from .allocation import (
     _capped_mse,
-    _capped_rows,
     _equal_budget,
     _equal_mse,
     _equal_rows,
-    _min_power_rows,
+    _live_total,
     _min_power_total,
+    _rank_scan,
     _shrink,
     _waterfill_mse,
-    _waterfill_prefix,
+    _waterfill_rows,
     equal_power_mse_batch,
     sum_power_mse_batch,  # unused here; stays importable, as perfbench's --trace 1 patches it here
 )
@@ -212,10 +212,10 @@ def _policy_rows(policy: Policy, s: np.ndarray, gamma: np.ndarray, sigma_sq: flo
     if isinstance(policy, EqualPolicy):
         return _equal_rows(gamma, s), lambda budget, *rows: _equal_mse(*rows, budget, sigma_sq)
     if isinstance(policy, OptimalPolicy):
-        return (_waterfill_prefix(gamma, s),
-                lambda budget, *prefix: _waterfill_mse(*prefix, budget, sigma_sq)[0])
+        return (_waterfill_rows(_rank_scan(gamma, s))[4:],
+                lambda budget, *rows: _waterfill_mse(*rows, budget, sigma_sq)[0])
     if isinstance(policy, CappedPolicy):
-        return _capped_rows(gamma, s), lambda budget, *rows: _capped_mse(
+        return _waterfill_rows(_rank_scan(gamma, s)), lambda budget, *rows: _capped_mse(
             *rows, budget, policy.cap_scale * budget / gamma.shape[1], sigma_sq)
     raise TypeError(f"unknown policy {policy!r}")
 
@@ -269,12 +269,13 @@ def _curve_rows(curve: Curve, s: np.ndarray, gamma: np.ndarray, sigma_sq: float)
     on every row, since each row's value enters the sum.
     """
     if curve.kind == "active":
-        prefix = _waterfill_prefix(gamma, s)
-        return [(int(_waterfill_mse(*prefix, p, sigma_sq)[1].sum()),) for p in curve.points]
+        rows = _waterfill_rows(_rank_scan(gamma, s))[4:]
+        return [(int(_waterfill_mse(*rows, p, sigma_sq)[1].sum()),) for p in curve.points]
     if curve.kind == "min-power":
-        optimal_rows, equal_rows, parts = _min_power_rows(gamma, s), _equal_rows(gamma, s), []
+        ranked, live_total = _rank_scan(gamma, s)[2:], _live_total(gamma, s)
+        equal_rows, parts = _equal_rows(gamma, s), []
         for required in [sigma_sq / d0 for d0 in curve.points]:
-            optimal, _, feasible = _min_power_total(*optimal_rows, required)
+            optimal, _, feasible = _min_power_total(*ranked, live_total, required)
             # Rows are solved independently, and every row feasible here has a finite equal budget.
             rows = np.flatnonzero(feasible)
             parts.append((optimal[rows], _equal_budget(*equal_rows, rows, required), rows.size))
@@ -433,9 +434,15 @@ def d_infinity(model: NetworkModel, p_tot: float, *, k: int = 1) -> float:
     Equals the signal variance over (budget times the expected sensor
     merit).  The merit expectation is exact for fixed observation variances
     and a fixed-seed 10^6-draw estimate otherwise; see
-    :func:`fadefusion.channel.mean_merit`.
+    :func:`fadefusion.channel.mean_merit`.  Divides mantissas and exponents
+    apart: inf past the float range; ValueError where E[eta] underflows to 0.
     """
-    return model.prior.variance_theta / (_check_positive("p_tot", p_tot) * mean_merit(model, k))
+    p_tot, merit = _check_positive("p_tot", p_tot), mean_merit(model, k)
+    if merit == 0:
+        raise ValueError("the expected merit underflows to 0")
+    (num, e_num), (p, e_p), (m, e_m) = map(math.frexp, (model.prior.variance_theta, p_tot, merit))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(num / (p * m), e_num - e_p - e_m))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +494,7 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
     theta*a + log1p(-b theta).  It is concave and 0 at theta = 0, so the search steps from 0
     toward the maximizer in t = theta * scale (b, or the largest |x - a|: no step depends on
     the units of X), halving t's distance to the exponential's domain edge t = 1 down to 2^-53,
-    or else doubling t from 1, up to 400 times.  The first sign change of the slope and the
+    or else doubling t from 1 up to 2^1022.  The first sign change of the slope and the
     point before it bracket the root, which brentq finds to ``_THETA_TOL`` of the bracket.
     Raises DivergentMGF if the slope keeps its sign or turns NaN: the supremum lies at the
     domain edge or diverges (samples with ``a`` outside the open sample range; a/b >= 2^53).
@@ -496,7 +503,7 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
     from scipy.special import logsumexp
 
     if query.mean_b is not None:
-        scale, ratio = query.mean_b, query.a / query.mean_b
+        scale, ratio, half = query.mean_b, query.a / query.mean_b, 1.0
 
         def slope(t: float) -> float:
             return ratio - 1.0 / (1.0 - t)
@@ -505,7 +512,9 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
             return t * ratio + math.log1p(-t)
 
     else:
-        y = query.samples - query.a
+        with np.errstate(over="ignore"):  # theta = t / (half * scale): y holds (x - a) / half
+            half = 1.0 if np.isfinite(query.samples - query.a).all() else 2.0
+        y = query.samples / half - query.a / half  # x/2 - a/2 is exact where x - a overflows
         if not y.min() < 0 < y.max():  # a outside the open sample range: the slope keeps its sign
             raise DivergentMGF(_NO_MAXIMIZER)
         scale = float(np.abs(y).max())  # > 0 here; the mean |x - a| can underflow to 0
@@ -524,7 +533,7 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
         return (0.0, 0.0) if full_output else 0.0
     halving = query.mean_b is not None and direction > 0
     lo = 0.0
-    for k in range(1, 54 if halving else 401):
+    for k in range(1, 54 if halving else 1024):  # t y - max(t y) overflows at 2^1023
         hi = 1.0 - 2.0**-k if halving else math.copysign(2.0 ** (k - 1), direction)
         if slope(hi) * direction < 0:
             break
@@ -534,7 +543,7 @@ def rate_function_numeric(query: RateFunctionQuery, *, full_output: bool = False
 
     t = brentq(slope, lo, hi, xtol=_THETA_TOL * abs(hi - lo))
     value = max(maximand(t), 0.0)
-    return (value, t / scale) if full_output else value
+    return (value, t / scale / half) if full_output else value
 
 
 def chernoff_bound(k: int, rate_value: float) -> float:

@@ -7,10 +7,15 @@ import pytest
 import fadefusion as ff
 from fadefusion import allocation
 from fadefusion.allocation import (
+    _capped_mse,
     _cumsum_sensors,
     _equal_budget_batch,
+    _live_total,
     _min_power_cut,
-    _min_power_rows,
+    _min_power_total,
+    _rank_scan,
+    _waterfill_mse,
+    _waterfill_rows,
     capped_mse_batch,
     equal_power_mse_batch,
     min_power_total_batch,
@@ -943,6 +948,38 @@ class TestColumnMajorChunks:
                 np.testing.assert_allclose(columns, rows, rtol=1e-12)
 
 
+class TestOneRanking:
+    @pytest.mark.parametrize("k", [3, 20, 100])
+    def test_every_kernel_reads_one_ranking_and_writes_over_none_of_it(self, k):
+        # The optimal, capped and min-power kernels read one _rank_scan in turn, twice over:
+        # each must give the bits of a fresh build, and the shared arrays must keep theirs.
+        rng = np.random.default_rng(k)
+        gamma = 10 ** rng.uniform(-0.3, 2.3, (300, k))
+        s = np.where(rng.random((300, k)) < 0.2, 0.0, 10 ** rng.uniform(-1.3, 1.3, (300, k)))
+        s[0] = 0.0  # a dead row
+        if k < 8:  # laid out as sample_batch hands such chunks out
+            gamma, s = np.asfortranarray(gamma), np.asfortranarray(s)
+        live = _live_total(gamma, s)
+        ranked = _rank_scan(gamma, s)
+        rows = _waterfill_rows(ranked)
+        before = [_bits(x) for x in ranked + rows]
+        clipped = 0
+        for _ in range(2):
+            for p in (0.01, 0.3, 3.0):
+                optimal = _waterfill_mse(*rows[4:], p, 1.0)
+                for got, fresh in zip(optimal, sum_power_mse_batch(gamma, s, 1.0, p)):
+                    assert _bits(got) == _bits(fresh)
+                capped = _capped_mse(*rows, p, 1.5 * p / k, 1.0)
+                assert _bits(capped) == _bits(capped_mse_batch(gamma, s, 1.0, p, 1.5 * p / k))
+                clipped += int((capped > optimal[0]).sum())
+            for d0 in (2.0 / live[live > 0].min(), 1.0 / np.median(live)):  # all, half feasible
+                shared = _min_power_total(*ranked[2:], live, 1.0 / d0)
+                for got, fresh in zip(shared, min_power_total_batch(gamma, s, 1.0, d0)):
+                    assert _bits(got) == _bits(fresh)
+        assert clipped > 100  # the capped kernel's clipping loop ran
+        assert [_bits(x) for x in ranked + rows] == before
+
+
 class TestPrefixCut:
     @pytest.mark.parametrize("k", [2, 6, 20])
     def test_the_cut_is_a_prefix_with_a_positive_divisor(self, k):
@@ -953,7 +990,7 @@ class TestPrefixCut:
         gamma, s = (np.tile(10 ** rng.uniform(lo, hi, (60, k // 2)), 2)
                     for lo, hi in ((-2, 18), (-3, 8)))
         s[rng.random(s.shape) < 0.1] = 0.0
-        u, usable, du, prefix_gamma = _min_power_rows(gamma, s)[:4]
+        _, _, u, usable, du, _, _, prefix_gamma = _rank_scan(gamma, s)
         feasible = 0
         for i in range(gamma.shape[0]):
             row = [x[i : i + 1] for x in (u, du, prefix_gamma)]

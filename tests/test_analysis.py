@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fadefusion as ff
 from fadefusion.analysis import Curve, _certain_outage
-from fadefusion.channel import default_network
+from fadefusion.channel import default_network, mean_merit
 from test_channel import unit_gamma_model
 
 
@@ -151,6 +152,25 @@ class TestDInfinity:
         mean_merit = 1e5 * (1.0 / 1.01 + 1.0 / 2.0) / 2.0
         assert ff.d_infinity(model, 0.01, k=2) == pytest.approx(1.0 / (0.01 * mean_merit), rel=1e-15)
 
+    def test_budget_times_merit_below_the_float_range(self):
+        # P * E[eta] underflows to 0, though the floor, 2.03e211, is a float.
+        model = default_network(sigma_theta_sq=1.4573698271490243e-121,
+                                nominal_gain=5.5205975777660905e280,
+                                channel_noise_variance=2.091927076106252e225)
+        p_tot, merit = 1.8666793531907266e-265, mean_merit(model)
+        assert p_tot * merit == 0.0
+        exact = Fraction(model.prior.variance_theta) / (Fraction(p_tot) * Fraction(merit))
+        assert ff.d_infinity(model, p_tot) == pytest.approx(float(exact), rel=1e-15)
+        assert ff.d_infinity(default_network(sigma_theta_sq=1e300), 1e-300) == math.inf
+
+    def test_a_merit_that_underflows_to_zero_is_refused(self):
+        model = default_network(sigma_theta_sq=4.9100365246842e-176,
+                                nominal_gain=13645674.677143756,
+                                channel_noise_variance=3.1089624757304626e260)
+        assert mean_merit(model) == 0.0
+        with pytest.raises(ValueError, match="expected merit underflows to 0"):
+            ff.d_infinity(model, 1.2781879842574646e-113)
+
 
 class TestRateFunctions:
     def test_zero_at_the_mean(self):
@@ -217,6 +237,24 @@ class TestRateFunctions:
         exact = 2.0 / 3.0 * math.log(4.0 / 3.0) + 1.0 / 3.0 * math.log(2.0 / 3.0)
         got = ff.rate_function_numeric(ff.RateFunctionQuery(a=a, samples=x))
         assert got == pytest.approx(exact, rel=1e-13)
+
+    def test_samples_whose_distance_to_a_passes_the_float_range(self):
+        # x - a overflows at x = -1.7e308; (x - a)/2 does not, and theta stays in units of x.
+        x1, x2, a = -1.7e308, 1.7e308, 1e308
+        query = ff.RateFunctionQuery(a=a, samples=np.array([x1, x2]))
+        value, theta = ff.rate_function_numeric(query, full_output=True)
+        p = float((Fraction(a) - Fraction(x1)) / (Fraction(x2) - Fraction(x1)))  # tilted P(x2)
+        assert value == pytest.approx(p * math.log(2 * p) + (1 - p) * math.log(2 * (1 - p)),
+                                      rel=1e-13)
+        assert theta * (x2 / 2 - x1 / 2) * 2 == pytest.approx(math.log(p / (1 - p)), rel=1e-12)
+
+    @pytest.mark.parametrize("a, mean_b", [(1e-200, 1.0), (1e-300, 1e7)])
+    def test_lower_tail_past_two_to_the_399(self, a, mean_b):
+        # The maximizer t = b theta = 1 - b/a lies past the 400th doubling, 2^399 ~ 1e120.
+        query = ff.RateFunctionQuery(a=a, mean_b=mean_b)
+        value, theta = ff.rate_function_numeric(query, full_output=True)
+        assert value == pytest.approx(ff.rate_function_exponential(a, mean_b), rel=1e-13)
+        assert theta == pytest.approx(1.0 / mean_b - 1.0 / a, rel=1e-12)
 
     def test_divergence_past_the_last_halving_step(self):
         # a/b > 2^53: the maximizer lies within one ulp of the domain edge 1/b.

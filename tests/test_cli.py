@@ -472,6 +472,18 @@ class TestRateAndDinf:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: supremum attained")
 
+    @pytest.mark.parametrize("a, mean_b, value", [("1e-200", "1", "459.517018599"),
+                                                  ("1e-300", "1e7", "705.893623549")])
+    def test_rate_far_below_the_mean(self, capsys, a, mean_b, value):
+        assert main(["rate", "--a", a, "--mean-b", mean_b]) == 0
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["rate_closed"] == out["rate_numeric"] == value
+
+    def test_rate_of_samples_whose_distance_to_a_overflows(self, tmp_path, capsys):
+        samples = write(tmp_path, "x.txt", "-1.7e308\n1.7e308\n")
+        assert main(["rate", "--a", "1e308", "--samples", samples]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "rate_numeric=0.184697433164"
+
     @pytest.mark.parametrize("a, mean_b", [("1e20", "1"), ("3.16e117", "6.29e-141")])
     def test_rate_past_the_last_halving_step_exits_2(self, capsys, a, mean_b):
         # a/b > 2^53: the maximizer lies within one ulp of 1/b, where 1 - b theta rounded to 0.
@@ -518,6 +530,20 @@ class TestRateAndDinf:
             == 0
         )
         assert float(capsys.readouterr().out.split("=")[1]) == pytest.approx(0.1, rel=1e-12)
+
+    def test_dinf_where_budget_times_merit_underflows(self, capsys):
+        model = ["--set", "model.sigma_theta_sq=1.4573698271490243e-121",
+                 "--set", "model.nominal_gain=5.5205975777660905e+280",
+                 "--set", "model.channel_noise=2.091927076106252e+225"]
+        assert main(["dinf", "--p-tot=1.8666793531907266e-265", *model]) == 0
+        assert capsys.readouterr().out == "d_infinity=2.02997517407e+211\n"
+
+    def test_dinf_where_the_merit_underflows_exits_2(self, capsys):
+        model = ["--set", "model.sigma_theta_sq=4.9100365246842e-176",
+                 "--set", "model.nominal_gain=13645674.677143756",
+                 "--set", "model.channel_noise=3.1089624757304626e+260"]
+        assert main(["dinf", "--p-tot=1.2781879842574646e-113", *model]) == 2
+        assert capsys.readouterr().err == "error: the expected merit underflows to 0\n"
 
 
 def _documented_exit_codes() -> dict[str, int]:
