@@ -25,16 +25,16 @@ A row solver's active sensor k gets (gamma_k/s_k)(c - u_k)/u_k with c - u_k =
 (c - u_last) + (u_last - u_k), u_last the largest u on (``_prefix_budgets``):
 two non-negative terms.
 The row solvers stay separate from the batch kernels because they are the
-kernels' independent test reference.  Each row solver ranks its snapshot
-once, in ``_rank_row``; the capped clipping loop then drops clipped sensors
-from the ranked arrays instead of re-sorting the rest.  Its free sensors
-share the budget minus the caps of every clipped sensor, summed once, so its
-answer depends only on the final clipped set.  After its first clipping pass
-the breakpoint scan ``_predict_clipped`` predicts the rest of the clipped
-set; the next waterfill checks it, and a refuted prediction reruns the plain
-loop, so the loop, not the scan, decides every answer.  ``capped_mse_batch``
-runs the same checked loop on whole chunks, each pass one sum-power waterfill
-in which the clipped sensors' gamma is 0.
+kernels' independent test reference.  A snapshot is ranked once, and scanned
+once per problem, at first use (``_cached``); the capped clipping loop drops
+clipped sensors from the ranked arrays instead of re-sorting the rest.  Its
+free sensors share the budget minus the caps of every clipped sensor, summed
+once, so its answer depends only on the final clipped set.  After its first
+clipping pass the breakpoint scan ``_predict_clipped`` predicts the rest of
+the clipped set; the next waterfill checks it, and a refuted prediction
+reruns the plain loop, so the loop, not the scan, decides every answer.
+``capped_mse_batch`` runs the same checked loop on whole chunks, each pass
+one sum-power waterfill in which the clipped sensors' gamma is 0.
 
 A chunk is a (trials, K) array.  Every batch kernel but the equal split reads
 one merit ranking per row and one shared scan (``_rank_scan``), column-major
@@ -111,21 +111,24 @@ class CapVector:
 
 
 def _require_finite_gamma(snapshot: Snapshot) -> None:
-    if np.isinf(snapshot.gamma).any():
-        raise ValueError(
-            "allocation solvers require finite observation SNRs; "
-            "a noiseless sensor has no interior optimum"
-        )
+    if np.count_nonzero(snapshot.inv_gamma) < snapshot.k:  # 1/gamma is 0 only where gamma = inf
+        raise ValueError("allocation solvers require finite observation SNRs; "
+                         "a noiseless sensor has no interior optimum")
 
 
 def _require_merit(snapshot: Snapshot) -> None:
-    if not snapshot.eta.any():
+    if not np.count_nonzero(snapshot.eta):
         raise NoUsableSensor("all channel merits are zero")
 
 
 # ---------------------------------------------------------------------------
 # Row scans: sum-power waterfilling and minimum power under a target
 # ---------------------------------------------------------------------------
+
+
+def _solved(alpha: np.ndarray, c: float, dual: float):
+    """A row solver's answer from its alpha', threshold constant c and dual value."""
+    return Allocation(alpha), AllocationDiagnostics(int(np.count_nonzero(alpha > 0)), c, dual)
 
 
 def _check_budget(snapshot: Snapshot, total_power: float) -> None:
@@ -143,6 +146,45 @@ def _rank_row(snapshot: Snapshot):
     return order, snapshot.gamma[order], 1.0 / np.sqrt(snapshot.eta[order])
 
 
+def _cached(snapshot: Snapshot, build):
+    """``build(snapshot)``, built once and kept in the snapshot under ``build``'s name."""
+    cache = vars(snapshot)
+    if build.__name__ not in cache:
+        cache[build.__name__] = build(snapshot)
+    return cache[build.__name__]
+
+
+def _read_only(*arrays):
+    for x in arrays:
+        x.setflags(False)  # write=False, at half the cost of the keyword
+    return arrays
+
+
+def _ranking(snapshot: Snapshot):
+    """``_rank_row``'s order and u, gain = gamma/s in rank order and du = diff(u)."""
+    order, gamma_u, u = _rank_row(snapshot)
+    return _read_only(order, u, gamma_u / snapshot.s[order], u[1:] - u[:-1])
+
+
+def _row_scan(weights, du):
+    """cumsum of ranked ``weights`` and its ``_lead``: a and T for gamma u, G and L for gamma."""
+    prefix = np.add.accumulate(weights)
+    return prefix, _lead(du[None, :], prefix[None, :])[0]
+
+
+def _sum_scan(snapshot: Snapshot):
+    """The ranking's order, u and gain, then rise = gamma u in rank order and its a and T."""
+    order, u, gain, du = _cached(snapshot, _ranking)
+    rise = snapshot.gamma[order] * u
+    return (order, u, gain, *_read_only(rise, *_row_scan(rise, du)))
+
+
+def _min_scan(snapshot: Snapshot):
+    """The ranking, then G = cumsum(gamma) in rank order and its lead L; no gamma u is formed."""
+    order, u, gain, du = _cached(snapshot, _ranking)
+    return (order, u, gain, du, *_read_only(*_row_scan(snapshot.gamma[order], du)))
+
+
 def _prefix_budgets(gain, u, k1: int, excess, den):
     """Ranked budgets gain_k (c - u_k)/u_k on the first k1 sensors, 0 after.
 
@@ -157,15 +199,14 @@ def _prefix_budgets(gain, u, k1: int, excess, den):
     return alpha
 
 
-def _waterfill_row(rise, u, gain, total_power: float):
+def _waterfill_row(rise, u, gain, total_power: float, scan=None):
     """Ranked budgets and threshold c0 of one sum-power waterfill.
 
-    ``rise`` = gamma u and ``gain`` = gamma/s in rank order.  The k1 sensors
-    on are those whose turn-on budget T is below P, and c0 - u_last =
-    (P - T_last)/a, a = sum(gamma u) over them.
+    ``rise`` = gamma u and ``gain`` = gamma/s in rank order, ``scan`` their (a, T)
+    if built.  The k1 sensors on are those whose turn-on budget T is below P,
+    and c0 - u_last = (P - T_last)/a, a = sum(gamma u) over them.
     """
-    a = np.add.accumulate(rise)
-    turn_on = _lead((u[1:] - u[:-1])[None, :], a[None, :])[0]
+    a, turn_on = scan or _row_scan(rise, u[1:] - u[:-1])
     k1 = int(np.count_nonzero(turn_on < total_power))
     excess, a = total_power - turn_on[k1 - 1], a[k1 - 1]
     return _prefix_budgets(gain, u, k1, excess, a), float(u[k1 - 1] + excess / a)
@@ -181,16 +222,11 @@ def max_performance_allocation(
     shut off entirely.
     """
     _check_budget(snapshot, total_power)
-    order, gamma_u, u = _rank_row(snapshot)
-    ranked, c0 = _waterfill_row(gamma_u * u, u, gamma_u / snapshot.s[order], total_power)
+    order, u, gain, rise, *scan = _cached(snapshot, _sum_scan)
+    ranked, c0 = _waterfill_row(rise, u, gain, total_power, scan)
     alpha = np.zeros(snapshot.k)
     alpha[order] = ranked
-    diagnostics = AllocationDiagnostics(
-        active_count=int(np.count_nonzero(alpha > 0)),
-        threshold_constant=c0,
-        dual_value=c0**-2,
-    )
-    return Allocation(alpha), diagnostics
+    return _solved(alpha, c0, c0**-2)
 
 
 def _predict_clipped(u, rise, cap, budget) -> np.ndarray:
@@ -220,10 +256,10 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
     None means the predicted clipped set failed its check; the loop without
     prediction (``predict`` False) never returns None.
     """
-    order, gamma_u, u = _rank_row(snapshot)
+    order, u, gain, rise, *scan = _cached(snapshot, _sum_scan)  # scan: the first pass's a and T
     # The free sensors' terms in rank order: gamma u, u, gamma/s and the alpha limits, one row
     # each, so that one gather drops the clipped sensors from all.
-    ranked = np.array((gamma_u * u, u, gamma_u / snapshot.s[order], limits[order]))
+    ranked = np.array((rise, u, gain, limits[order]))
 
     alpha = np.zeros(snapshot.k)
     # Dead sensors are not ranked.  One whose alpha limit rounds to 0 already sits at it, so it
@@ -244,7 +280,7 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
             if predicted is not None and budget <= budget_dust:
                 return None
             return alpha, math.nan
-        sub_alpha, c0 = _waterfill_row(*ranked[:3], budget)
+        sub_alpha, c0 = _waterfill_row(*ranked[:3], budget, scan)
         violated = sub_alpha >= ranked[3]
         if not (violated.any() or pending):
             if predicted is not None:  # each predicted sensor must still reach its cap at c0
@@ -272,7 +308,7 @@ def _clip_to_caps(snapshot: Snapshot, total_power: float, caps, limits, predict:
                 clipped, budget = guess, left
         predict = False
         alpha[clipped] = limits[clipped]
-        order, ranked = order[keep], ranked.compress(keep, axis=1)
+        order, ranked, scan = order[keep], ranked.compress(keep, axis=1), None
     raise InternalConsistencyError("cap-clipping loop failed to terminate in K passes")
 
 
@@ -312,20 +348,14 @@ def max_performance_with_caps(
     limits = caps.alpha_limits(snapshot)
     solved = _clip_to_caps(snapshot, total_power, caps.caps, limits, True)
     alpha, threshold = solved or _clip_to_caps(snapshot, total_power, caps.caps, limits, False)
-
-    diagnostics = AllocationDiagnostics(
-        active_count=int(np.count_nonzero(alpha > 0)),
-        threshold_constant=threshold,
-        dual_value=threshold**-2 if math.isfinite(threshold) else math.nan,
-    )
-    return Allocation(alpha), diagnostics
+    return _solved(alpha, threshold, threshold**-2 if math.isfinite(threshold) else math.nan)
 
 
 def _check_target(snapshot: Snapshot, distortion_target: float) -> float:
     """Validate strict feasibility and return the required fused SNR total."""
     _check_positive("distortion_target", distortion_target)
     _require_finite_gamma(snapshot)
-    floor = distortion_floor(snapshot)  # inf on dead channels alone
+    floor = _cached(snapshot, distortion_floor)  # inf on dead channels alone
     if distortion_target <= floor:
         raise InfeasibleTarget(distortion_target, floor)
     _require_merit(snapshot)  # live channels whose merits all underflow leave the floor finite
@@ -346,25 +376,17 @@ def min_power_allocation(
     """
     required = _check_target(snapshot, distortion_target)
 
-    order, gamma_u, u = _rank_row(snapshot)
-    prefix_gamma = np.add.accumulate(gamma_u)
+    order, u, gain, du, prefix_gamma, lead = _cached(snapshot, _min_scan)
     if not prefix_gamma[-1] > required:  # summed in rank order, the floor's sum can reach R
-        raise InfeasibleTarget(distortion_target, distortion_floor(snapshot))
-    du, prefix_gamma = (u[1:] - u[:-1])[None, :], prefix_gamma[None, :]
-    k1 = max(int(_min_power_cut(u[None, :], du, prefix_gamma, required, True)[0][0]), 1)
-    d = prefix_gamma[0, k1 - 1] - required
+        raise InfeasibleTarget(distortion_target, _cached(snapshot, distortion_floor))
+    k1 = max(int(_min_power_cut(u[None], du[None], prefix_gamma[None], required, True)[0][0]), 1)
+    d = prefix_gamma[k1 - 1] - required
     # d (rho0 - u_last), f at the cut in other roundings: at a tie it can round below 0.
-    excess = max(required * u[k1 - 1] - _lead(du, prefix_gamma)[0, k1 - 1], 0.0)
+    excess = max(required * u[k1 - 1] - lead[k1 - 1], 0.0)
     alpha = np.zeros(snapshot.k)
-    alpha[order] = _prefix_budgets(gamma_u / snapshot.s[order], u, k1, excess, d)
+    alpha[order] = _prefix_budgets(gain, u, k1, excess, d)
     rho0 = float(u[k1 - 1] + excess / d)
-
-    diagnostics = AllocationDiagnostics(
-        active_count=int(np.count_nonzero(alpha > 0)),
-        threshold_constant=rho0,
-        dual_value=rho0**2,
-    )
-    return Allocation(alpha), diagnostics
+    return _solved(alpha, rho0, rho0**2)
 
 
 #: Steps any one monotone Newton iteration may take before it counts as stalled; gamma over

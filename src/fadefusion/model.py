@@ -34,6 +34,9 @@ NOISELESS = math.inf
 #: snapshot's gammas, its nonzero channel SNRs and every positive parameter lie above it.
 _MIN_GAMMA = float(1.0 / np.finfo(float).max)
 
+#: ``np.add.reduce``, returning inf without a warning where a sum passes the float range.
+_sum_or_inf = np.errstate(over="ignore")(np.add.reduce)
+
 
 def _check_positive(name: str, value: float, allow_inf: bool = False) -> float:
     """``value`` as a float, if it is above ``_MIN_GAMMA`` and finite (or +inf, with
@@ -75,7 +78,7 @@ def _frozen_vector(values) -> np.ndarray:
     array = np.array(values, dtype=float)
     if array.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {array.shape}")
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -90,7 +93,9 @@ class Snapshot:
     1/gamma limit is exact.  Every ``s`` is finite and either zero (a
     channel in a deep fade contributes nothing) or above ``_MIN_GAMMA``.
     Sensor order is identity: ranking and allocation results always refer
-    back to these indices.
+    back to these indices.  Like ``eta``, the row solvers' merit ranking, its
+    scans and the distortion floor are built at first use and kept, read-only,
+    in the snapshot's ``__dict__``; read-only gamma and s keep them valid.
     """
 
     prior: SignalPrior
@@ -127,14 +132,14 @@ class Snapshot:
     def inv_gamma(self) -> np.ndarray:
         """1/gamma, a read-only array like gamma itself."""
         inv_gamma = 1.0 / self.gamma
-        inv_gamma.flags.writeable = False
+        inv_gamma.setflags(write=False)
         return inv_gamma
 
     @cached_property
     def eta(self) -> np.ndarray:
         """Figure of merit s / (1 + 1/gamma), read-only; equals s itself for a noiseless sensor."""
         eta = self.s / (1.0 + self.inv_gamma)
-        eta.flags.writeable = False
+        eta.setflags(write=False)
         return eta
 
 
@@ -146,7 +151,7 @@ class Allocation:
 
     def __post_init__(self):
         values = _frozen_vector(self.alpha_prime)
-        if not (np.isfinite(values) & (values >= 0)).all():
+        if not 0 <= values.min(initial=0.0) <= values.max(initial=0.0) < math.inf:  # NaN fails
             raise ValueError("alpha_prime entries must be finite and >= 0")
         object.__setattr__(self, "alpha_prime", values)
 
@@ -244,10 +249,11 @@ def distortion_floor(snapshot: Snapshot) -> float:
     """Infimum of achievable distortion: signal variance over the sum of usable gammas.
 
     Only sensors with a live channel (s > 0) can contribute; the floor is
-    approached, never attained, as their budgets grow without bound.
+    approached, never attained, as their budgets grow without bound.  A sum of
+    gammas past the float range is taken as (sigma^2/gamma_max)/sum(gamma/gamma_max).
     """
-    usable = snapshot.s > 0
-    total = float(np.add.reduce(snapshot.gamma[usable]))
-    if total == 0.0:
-        return math.inf
-    return snapshot.prior.variance_theta / total
+    gamma, variance = snapshot.gamma[snapshot.s > 0], snapshot.prior.variance_theta
+    total = float(_sum_or_inf(gamma))
+    if total == math.inf and gamma.max() < math.inf:
+        return float(variance / gamma.max() / np.add.reduce(gamma / gamma.max()))
+    return variance / total if total else math.inf

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -978,6 +981,137 @@ class TestOneRanking:
                     assert _bits(got) == _bits(fresh)
         assert clipped > 100  # the capped kernel's clipping loop ran
         assert [_bits(x) for x in ranked + rows] == before
+
+
+
+def cache_problems(k: int):
+    """Snapshots at K sensors (about one channel in five dead), each with a budget, caps and a
+    target above its floor."""
+    rng = np.random.default_rng(50 + k)
+    for _ in range(6):
+        s = np.where(rng.random(k) < 0.2, 0.0, 10 ** rng.uniform(-3.0, 6.0, k))
+        s[0] = 1.0
+        snapshot = snap(10 ** rng.uniform(-2.0, 8.0, k), s)
+        budget = float(10 ** rng.uniform(-3.0, 1.0))
+        caps = ff.CapVector(budget * 10 ** rng.uniform(-1.5, 0.0, k))
+        yield snapshot, budget, caps, float(ff.distortion_floor(snapshot) * rng.uniform(1.01, 100))
+
+
+def cache_solves(snapshot, budget, caps, target):
+    """The row solves of one problem by name, the last one at an infeasible target."""
+    floor = ff.distortion_floor(snapshot)
+    return {
+        "min-power": lambda x: ff.min_power_allocation(x, target),
+        "capped": lambda x: ff.max_performance_with_caps(x, budget, caps),
+        "optimal": lambda x: ff.max_performance_allocation(x, budget),
+        "at the floor": lambda x: ff.min_power_allocation(x, floor),
+    }
+
+
+def fresh_copy(snapshot):
+    return ff.Snapshot(snapshot.prior, snapshot.gamma, snapshot.s)
+
+
+#: What a snapshot keeps once every row solver has run on it.
+CACHED = {"inv_gamma", "eta", "distortion_floor", "_ranking", "_sum_scan", "_min_scan"}
+
+
+NOISELESS = (ValueError, "finite observation SNRs")
+AT_THE_FLOOR = (ff.InfeasibleTarget, "not achievable")
+NO_MERIT = (ff.NoUsableSensor, "merits are zero")
+
+#: Row solves that fail: gamma, s, a distortion target, then the error of the min-power solve and
+#: that of the budget solves (None: they succeed).  gamma 1e-20 on s = 1e-308 puts the floor at
+#: 1e20 on a live channel whose merit underflows to 0.
+ROW_ERRORS = {
+    "a noiseless sensor": ([10.0, math.inf], [1.0, 2.0], 1.0, NOISELESS, NOISELESS),
+    "a noiseless sensor and a negative target": (
+        [10.0, math.inf], [1.0, 2.0], -1.0, (ValueError, "distortion_target"), NOISELESS),
+    "all channels dead": ([10.0, 5.0], [0.0, 0.0], 1.0, AT_THE_FLOOR, NO_MERIT),
+    "a target at the floor": ([2.0, 3.0], [1.0, 1.0], 0.2, AT_THE_FLOOR, (None, None)),
+    "underflowing merits, a target below the floor": ([1e-20], [1e-308], 1e19, AT_THE_FLOOR,
+                                                       NO_MERIT),
+    "underflowing merits, a target above the floor": ([1e-20], [1e-308], 1e21, NO_MERIT,
+                                                       NO_MERIT),
+}
+
+
+class TestSnapshotCache:
+    @pytest.mark.parametrize("k", [3, 20, 100])
+    def test_a_reused_snapshot_gives_the_bytes_of_a_fresh_one_in_every_order(self, k):
+        # The solvers rank a snapshot once and scan it once per problem, at the first solve that
+        # reads the scan: each order builds the arrays in another sequence, and an infeasible
+        # target can come before, between or after them.
+        for problem in cache_problems(k):
+            solves = cache_solves(*problem)
+            expected = {
+                name: result_bytes(solve_or_error(solve, fresh_copy(problem[0])))
+                for name, solve in solves.items()
+            }
+            assert isinstance(expected["at the floor"][0], type)
+            for order in itertools.permutations(solves):
+                reused = fresh_copy(problem[0])
+                for name in order + order:  # then each again, on a complete cache
+                    assert result_bytes(solve_or_error(solves[name], reused)) == expected[name]
+                assert CACHED <= set(vars(reused))
+
+    def test_every_cached_array_refuses_writes(self):
+        for problem in cache_problems(20):
+            snapshot = problem[0]
+            for solve in cache_solves(*problem).values():
+                solve_or_error(solve, snapshot)
+            cached = [vars(snapshot)[name] for name in CACHED]
+            arrays = [x for value in cached for x in (value if isinstance(value, tuple) else ())]
+            arrays += [x for x in cached if isinstance(x, np.ndarray)]
+            assert len(arrays) == 2 + 4 + 6 + 6  # eta, 1/gamma, the ranking and both scans
+            for x in arrays:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    x[...] = 0.0
+
+    def test_a_replaced_snapshot_solves_against_its_own_scan(self):
+        rng = np.random.default_rng(1)
+        for snapshot, budget, caps, target in cache_problems(20):
+            solves = cache_solves(snapshot, budget, caps, target)
+            for solve in solves.values():
+                solve_or_error(solve, snapshot)
+            s = snapshot.s * 10 ** rng.uniform(-1.0, 1.0, snapshot.k)
+            replaced = dataclasses.replace(snapshot, s=s)
+            assert not CACHED & set(vars(replaced))
+            twin = snap(snapshot.gamma, s)
+            for name in ("optimal", "capped"):
+                got = result_bytes(solve_or_error(solves[name], replaced))
+                assert got == result_bytes(solve_or_error(solves[name], twin))
+            target = ff.distortion_floor(twin) * 1.5
+            assert result_bytes(ff.min_power_allocation(replaced, target)) == result_bytes(
+                ff.min_power_allocation(twin, target))
+
+    @pytest.mark.parametrize("case", ROW_ERRORS)
+    def test_errors_are_raised_on_every_call(self, case):
+        # Each solve raises on the 1st and the 5th call, whatever the other solvers built in
+        # between; min-power checks the target, then finite gamma, the floor and the merits.
+        gamma, s, target, min_power_error, budget_error = ROW_ERRORS[case]
+        snapshot = snap(gamma, s)
+        solves = [(lambda: ff.min_power_allocation(snapshot, target), min_power_error),
+                  (lambda: ff.max_performance_allocation(snapshot, 1.0), budget_error),
+                  (lambda: ff.max_performance_with_caps(snapshot, 1.0, ff.CapVector.uniform(
+                      snapshot.k, 0.4)), budget_error)]
+        for _ in range(5):
+            for solve, (error, match) in solves:
+                if error is None:
+                    solve()
+                else:
+                    with pytest.raises(error, match=match):
+                        solve()
+
+    def test_a_solved_snapshot_dies_with_its_last_reference(self):
+        snapshot, budget, caps, target = next(cache_problems(20))
+        for solve in cache_solves(snapshot, budget, caps, target).values():
+            solve_or_error(solve, snapshot)
+        assert CACHED <= set(vars(snapshot))
+        alive = weakref.ref(snapshot)
+        del snapshot
+        assert alive() is None  # no reference cycle: no collection needed
 
 
 class TestPrefixCut:

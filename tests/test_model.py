@@ -248,3 +248,25 @@ class TestEqualPowerMse:
         s1 = snap([2.0, 3.0], [1.0, 0.0])
         assert ff.distortion_floor(s1) == pytest.approx(0.5, rel=1e-15)
         assert ff.distortion_floor(snap([2.0], [0.0])) == math.inf
+
+    def test_distortion_floor_where_the_sum_of_gammas_overflows(self):
+        # Two gammas at 1e308 sum past the float range: the floor is (1/1e308)/2, not 0, and no
+        # overflow warning is raised.  A noiseless sensor still puts it at 0.
+        assert ff.distortion_floor(snap([1e308, 1e308], [1.0, 1.0])) == 1e-308 / 2.0
+        assert ff.distortion_floor(snap([1e308, 1e308, 1e308], [1.0, 0.0, 1.0])) == 1e-308 / 2.0
+        assert ff.distortion_floor(snap([1e308, 1e308, math.inf], [1.0, 1.0, 1.0])) == 0.0
+        rng = np.random.default_rng(3)
+        gamma = 10 ** rng.uniform(306.0, 308.0, 100)
+        exact = Fraction(1e300) / sum(map(Fraction, gamma.tolist()))
+        assert ff.distortion_floor(snap(gamma, np.ones(100), sig=1e300)) == pytest.approx(
+            float(exact), rel=1e-14)
+
+    def test_distortion_floor_keeps_the_plain_sums_bits_where_it_is_finite(self):
+        rng = np.random.default_rng(4)
+        for k in (1, 3, 20, 100):
+            gamma = 10 ** rng.uniform(-2.0, 306.0, k)
+            gamma[0] = 1.7e308 / k  # near the largest float, still a finite sum
+            s = np.where(rng.random(k) < 0.2, 0.0, 1.0)
+            live = gamma[s > 0]
+            expected = 2.0 / float(np.add.reduce(live)) if live.size else math.inf
+            assert ff.distortion_floor(snap(gamma, s, sig=2.0)) == expected
